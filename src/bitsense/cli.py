@@ -463,9 +463,7 @@ def run_validation_suite(trials: int, master_seed: int) -> list[dict]:
             trials=trials,
         )
         stats = np.sort(montecarlo.simulate_statistics(sub, Hypothesis.H0))
-        pfa_runs.append(
-            (trials - np.searchsorted(stats, sub.thresholds, side="left")) / trials
-        )
+        pfa_runs.append(montecarlo._tail_rates(stats, sub.thresholds, sub.direction))
     pfa_avg = np.mean(pfa_runs, axis=0)
     exact = montecarlo.exact_h0_rates(config)
     bands = 3.0 * np.sqrt(exact * (1.0 - exact) / trials)

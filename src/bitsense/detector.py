@@ -31,7 +31,16 @@ def statistic(bits) -> int:
         )
     if not ((arr == 0) | (arr == 1)).all():
         raise DimensionMismatchError("bit matrix entries must all be 0 or 1")
-    return int(np.sum(arr[:, 1:] == arr[:, :-1]))
+    return int(agreement_counts(arr))
+
+
+def agreement_counts(bits: np.ndarray) -> np.ndarray:
+    """`statistic` over the last two axes of an (..., N, n) bit array.
+
+    Unchecked: shape and 0/1 entries are the caller's responsibility.
+    Returns int64 counts of shape ``bits.shape[:-2]``.
+    """
+    return np.sum(bits[..., 1:] == bits[..., :-1], axis=(-2, -1))
 
 
 def decide(y_count: int, eta: float, direction: DetectorDirection) -> int:

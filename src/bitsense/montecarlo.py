@@ -84,8 +84,19 @@ class RunConfig:
         return DetectorDirection.GREATER_IS_H1
 
 
+#: Upper bound on the engine's per-chunk normal buffer.  Every array the
+#: chunk math makes is about this size or smaller, so memory stays flat
+#: at any trial count.
+CHUNK_BYTES = 256 * 1024
+
+
 def _philox_key(master_seed: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+
+
+def _trial_counter(trial_index: int, hyp_tag: int) -> list[int]:
+    """Initial Philox counter words of one trial's stream (see RNG_SCHEME)."""
+    return [0, 0, trial_index, hyp_tag]
 
 
 def seed_for_trial(
@@ -96,7 +107,7 @@ def seed_for_trial(
     The mapping is pure and injective over (hypothesis, trial_index), so
     trial t produces identical draws no matter when or where it runs.
     """
-    counter = np.array([0, 0, trial_index, hypothesis.value], dtype=np.uint64)
+    counter = _trial_counter(trial_index, hypothesis.value)
     bitgen = np.random.Philox(counter=counter, key=_philox_key(master_seed))
     return np.random.Generator(bitgen)
 
@@ -108,15 +119,35 @@ def _run_trials(
     start: int,
     stop: int,
 ) -> np.ndarray:
-    """Statistics for trials [start, stop), each on its own stream."""
+    """Statistics for trials [start, stop), each on its own stream.
+
+    One Philox is reset to each trial's fresh-stream state in turn, which
+    draws exactly what `seed_for_trial` would.  A trial's normals fill
+    one row of a chunk buffer; the source, quantizer and count then run
+    over the whole chunk.
+    """
     factor = signal.factor_covariance(params) if hypothesis is Hypothesis.H1 else None
-    out = np.empty(stop - start, dtype=np.int64)
+    width = signal.draw_width(params, hypothesis)
+    chunk = max(1, CHUNK_BYTES // (8 * width))
+    draws = np.empty((min(chunk, stop - start), width))
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    # A fresh stream's state: buffer_pos 4 means the first draw starts a
+    # new block.  Python ints make the per-trial state assignment cheaper
+    # than the numpy scalars it is read back as.
+    state = bitgen.state
+    state["state"]["key"] = key.tolist()
+    state["buffer"] = state["buffer"].tolist()
     hyp_tag = hypothesis.value
-    for t in range(start, stop):
-        counter = np.array([0, 0, t, hyp_tag], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
-        bits = signal.observe(params, hypothesis, rng, factor=factor)
-        out[t - start] = detector.statistic(bits)
+    out = np.empty(stop - start, dtype=np.int64)
+    for lo in range(start, stop, chunk):
+        rows = draws[: min(chunk, stop - lo)]
+        for t, row in enumerate(rows, lo):
+            state["state"]["counter"] = _trial_counter(t, hyp_tag)
+            bitgen.state = state
+            rng.standard_normal(out=row)
+        bits = signal.observe_draws(params, hypothesis, rows, factor=factor)
+        out[lo - start : lo - start + len(rows)] = detector.agreement_counts(bits)
     return out
 
 

@@ -35,6 +35,15 @@ class BidiagonalFactor:
         L[idx + 1, idx] = self.subdiag
         return L
 
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """L @ g along the last axis of ``g``, in O(n) per vector.
+
+        Componentwise: s_1 = d_1 g_1 and s_i = e_{i-1} g_{i-1} + d_i g_i.
+        """
+        s = self.diag * g
+        s[..., 1:] += self.subdiag * g[..., :-1]
+        return s
+
 
 def factor_covariance(params: ModelParams) -> BidiagonalFactor:
     """O(n) bidiagonal factorization of the tridiagonal Toeplitz covariance.
@@ -74,16 +83,12 @@ def sample_signal(
 ) -> np.ndarray:
     """Draw source vectors s = L g with g iid standard normal.
 
-    Componentwise: s_1 = d_1 g_1 and s_i = e_{i-1} g_{i-1} + d_i g_i, so
-    each draw costs O(n).  Returns shape (n,) for ``size=None``, else
+    Each draw costs O(n).  Returns shape (n,) for ``size=None``, else
     (size, n).
     """
     n = factor.n
     shape = (n,) if size is None else (size, n)
-    g = rng.standard_normal(shape)
-    s = factor.diag * g
-    s[..., 1:] += factor.subdiag * g[..., :-1]
-    return s
+    return factor.apply(rng.standard_normal(shape))
 
 
 def quantize(x):
@@ -95,6 +100,37 @@ def quantize(x):
     if bits.ndim == 0:
         return int(bits)
     return bits
+
+
+def draw_width(params: ModelParams, hypothesis: Hypothesis) -> int:
+    """Standard normals one measurement consumes: N·n noise, plus n source
+    draws under H1."""
+    noise = params.num_sensors * params.n
+    return noise + params.n if hypothesis is Hypothesis.H1 else noise
+
+
+def observe_draws(
+    params: ModelParams,
+    hypothesis: Hypothesis,
+    draws: np.ndarray,
+    factor: BidiagonalFactor | None = None,
+) -> np.ndarray:
+    """One-bit measurement matrices from pre-drawn standard normals.
+
+    ``draws`` has shape (..., draw_width) and each row is laid out as the
+    stream is consumed: under H1 the n source draws first, then the N
+    noise rows; under H0 only the noise rows.  Returns uint8 bits of
+    shape (..., N, n).  Callers are expected to pass validated params.
+    """
+    N, n = params.num_sensors, params.n
+    noise = (params.noise_std * draws[..., -N * n :]).reshape(*draws.shape[:-1], N, n)
+    if hypothesis is Hypothesis.H0:
+        # scaled, not sign-tested: an underflow to -0.0 quantizes to 1
+        return quantize(noise)
+    if factor is None:
+        factor = factor_covariance(params)
+    s = factor.apply(draws[..., :n])
+    return quantize(s[..., np.newaxis, :] + noise)
 
 
 def observe(
@@ -111,12 +147,5 @@ def observe(
     row-major; that fixed layout is what makes per-trial streams
     replayable.  Callers are expected to pass validated params.
     """
-    N, n = params.num_sensors, params.n
-    if hypothesis is Hypothesis.H0:
-        w = rng.standard_normal((N, n))
-        return quantize(params.noise_std * w)
-    if factor is None:
-        factor = factor_covariance(params)
-    s = sample_signal(factor, rng)
-    w = rng.standard_normal((N, n))
-    return quantize(s[np.newaxis, :] + params.noise_std * w)
+    draws = rng.standard_normal(draw_width(params, hypothesis))
+    return observe_draws(params, hypothesis, draws, factor=factor)

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from bitsense.detector import (
     DimensionMismatchError,
+    agreement_counts,
     decide,
     direction_for,
     statistic,
@@ -25,6 +26,12 @@ def make_params(n=20, num_sensors=1, r=0.5):
 bit_matrices = hnp.arrays(
     dtype=np.uint8,
     shape=st.tuples(st.integers(1, 4), st.integers(2, 12)),
+    elements=st.integers(0, 1),
+)
+
+bit_batches = hnp.arrays(
+    dtype=np.uint8,
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(2, 12)),
     elements=st.integers(0, 1),
 )
 
@@ -64,6 +71,12 @@ class TestStatistic:
     def test_bounds(self, bits):
         rows, cols = bits.shape
         assert 0 <= statistic(bits) <= (cols - 1) * rows
+
+    @given(bit_batches)
+    def test_agreement_counts_matches_statistic_per_matrix(self, batch):
+        counts = agreement_counts(batch)
+        assert counts.shape == (len(batch),)
+        assert counts.tolist() == [statistic(bits) for bits in batch]
 
 
 class TestDecide:

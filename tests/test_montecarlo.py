@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bitsense import montecarlo
 from bitsense.analytic import TheoryMode, moments
 from bitsense.curves import RocSource
 from bitsense.detector import sweep_thresholds
@@ -19,12 +21,38 @@ from bitsense.montecarlo import (
     seed_for_trial,
     simulate_statistics,
 )
-from bitsense.signal import observe
+from bitsense.signal import draw_width, factor_covariance, observe
 
 
 def make_config(n=20, num_sensors=1, r=0.5, trials=20000, master_seed=42, **kw):
     params = ModelParams(n=n, num_sensors=num_sensors, sigma_s2=1.0, r=r, sigma2=1e-4)
     return RunConfig(params=params, master_seed=master_seed, trials=trials, **kw)
+
+
+def reference_statistics(config, hypothesis, start, stop):
+    """One trial at a time: a fresh seed_for_trial stream, drawn as two
+    calls (source, then noise rows), then the scalar source recurrence,
+    quantizer and count."""
+    params = config.params
+    N, n = params.num_sensors, params.n
+    f = factor_covariance(params)
+    out = []
+    for t in range(start, stop):
+        rng = seed_for_trial(config.master_seed, hypothesis, t)
+        if hypothesis is Hypothesis.H0:
+            x = params.noise_std * rng.standard_normal((N, n))
+        else:
+            g = rng.standard_normal(n)
+            s = f.diag * g
+            s[1:] += f.subdiag * g[:-1]
+            x = s + params.noise_std * rng.standard_normal((N, n))
+        bits = (x >= 0).astype(np.uint8)
+        out.append(int(np.sum(bits[:, 1:] == bits[:, :-1])))
+    return out
+
+
+def chunk_rows(params, hypothesis):
+    return montecarlo.CHUNK_BYTES // (8 * draw_width(params, hypothesis))
 
 
 class TestRunConfig:
@@ -88,6 +116,34 @@ class TestSeedForTrial:
             rng = seed_for_trial(config.master_seed, Hypothesis.H1, t)
             bits = observe(config.params, Hypothesis.H1, rng)
             assert int(np.sum(bits[:, 1:] == bits[:, :-1])) == stats[t]
+
+
+class TestChunkedEngine:
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    def test_partial_last_chunk_matches_per_trial_streams(self, hypothesis):
+        config = make_config(num_sensors=2, r=-0.3)
+        trials = 2 * chunk_rows(config.params, hypothesis) + 7
+        config = replace(config, trials=trials)
+        stats = simulate_statistics(config, hypothesis, workers=1)
+        assert stats.tolist() == reference_statistics(config, hypothesis, 0, trials)
+
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    def test_nonzero_start_matches_per_trial_streams(self, hypothesis):
+        # a pool worker runs the engine on a trial range that starts and
+        # ends off the chunk grid
+        config = make_config(num_sensors=3, trials=1)
+        rows = chunk_rows(config.params, hypothesis)
+        start, stop = rows - 5, 2 * rows + 3
+        key = montecarlo._philox_key(config.master_seed)
+        stats = montecarlo._run_trials(config.params, key, hypothesis, start, stop)
+        assert stats.tolist() == reference_statistics(config, hypothesis, start, stop)
+
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    def test_row_wider_than_the_buffer_cap_runs_one_trial_per_chunk(self, hypothesis):
+        config = make_config(n=16400, num_sensors=2, r=0.4, trials=3)
+        assert chunk_rows(config.params, hypothesis) == 0  # engine clamps to 1
+        stats = simulate_statistics(config, hypothesis, workers=1)
+        assert stats.tolist() == reference_statistics(config, hypothesis, 0, 3)
 
 
 class TestDeterminism:
