@@ -13,10 +13,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, special
 
 from .curves import RocCurve, RocSource
 from .model import (
@@ -119,7 +117,11 @@ def orthant_prob_quadrature(c11: float, c12: float, c22: float) -> float:
     Adaptive quadrature on [0, 10] refines until the error estimate is
     below 1e-9; the truncated tail is < 8e-24.  This path never touches
     the arcsine identity, so it is a genuine oracle for the closed form.
+    scipy is imported here, its only use, so that importing bitsense
+    and building the CLI stay fast.
     """
+    from scipy import integrate, special
+
     rho = _cov2_correlation(c11, c12, c22)
     slope = rho / math.sqrt((1.0 - rho) * (1.0 + rho))
 
@@ -214,7 +216,9 @@ def theory_roc(
     an upward test; for r < 0 the tails flip to lower-tail
     probabilities.  r = 0 has no defined direction; the upward
     convention is used, under which both modes reduce to the chance
-    diagonal in all informative senses.  Raises
+    diagonal.  That is exact for one sensor only: with N >= 2 the shared
+    source inflates Var(Y | H1) about N-fold, which neither mode models,
+    and the empirical ROC lies above the diagonal.  Raises
     :class:`NegativeVarianceError` in paper-literal mode when p > 1/2.
     """
     thresholds = np.asarray(thresholds, dtype=float)
@@ -239,6 +243,28 @@ def theory_roc(
     return RocCurve(eta=thresholds, pfa=pfa, pd=pd, source=source, trials_used=0)
 
 
+def _exact_h0_tail_table(m: int) -> np.ndarray:
+    """Exact P(Y >= k | H0) for k = 0..m+1, Y ~ Binomial(m, 1/2).
+
+    Walks k down from m, stepping comb(m, k) by the multiplicative
+    recurrence comb(m, k-1) = comb(m, k) * k / (m-k+1) and accumulating
+    the suffix sum, so the whole table is O(m) big-int steps and no list
+    of big ints is kept.  Each entry is rounded once by int/int true
+    division, which CPython rounds correctly; entry 0 is 1.0 and entry
+    m+1 is 0.0.
+    """
+    denominator = 1 << m
+    table = np.empty(m + 2)
+    table[m + 1] = 0.0
+    coefficient = 1
+    suffix = 0
+    for k in range(m, -1, -1):
+        suffix += coefficient
+        table[k] = suffix / denominator
+        coefficient = coefficient * k // (m - k + 1)
+    return table
+
+
 def exact_h0_tail(params: ModelParams, eta: int) -> float:
     """Exact P(Y >= eta | H0) as a Binomial((n-1)N, 1/2) upper tail.
 
@@ -253,5 +279,4 @@ def exact_h0_tail(params: ModelParams, eta: int) -> float:
         return 1.0
     if eta > m:
         return 0.0
-    numerator = sum(math.comb(m, k) for k in range(eta, m + 1))
-    return float(Fraction(numerator, 2**m))
+    return float(_exact_h0_tail_table(m)[eta])

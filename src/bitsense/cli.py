@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 check failure, 2 usage/config/IO error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -86,13 +87,19 @@ def _build_config(
         r=r,
         sigma2=noise_std**2,
     )
-    config = RunConfig(
-        params=params,
-        master_seed=master_seed,
-        trials=trials,
-        thresholds=thresholds,
-        theory_mode=theory_mode,
+    return _checked(
+        RunConfig(
+            params=params,
+            master_seed=master_seed,
+            trials=trials,
+            thresholds=thresholds,
+            theory_mode=theory_mode,
+        )
     )
+
+
+def _checked(config: RunConfig) -> RunConfig:
+    """The config itself, or a ConfigError listing every violation."""
     problems = config.violations()
     if problems:
         raise ConfigError("; ".join(problems))
@@ -223,14 +230,7 @@ def _curve_rows(config: RunConfig) -> list[dict]:
     rows = []
     for mode in (TheoryMode.CONSISTENT, TheoryMode.PAPER_LITERAL):
         comparison = montecarlo.compare_theory(
-            RunConfig(
-                params=config.params,
-                master_seed=config.master_seed,
-                trials=config.trials,
-                thresholds=config.thresholds,
-                theory_mode=mode,
-            ),
-            empirical=empirical,
+            dataclasses.replace(config, theory_mode=mode), empirical=empirical
         )
         for row in comparison.rows:
             rows.append(
@@ -285,14 +285,7 @@ def cmd_roc(args) -> int:
     else:
         label, config = parse_config_file(args.config)
         if args.trials is not None:
-            config = RunConfig(
-                params=config.params,
-                master_seed=config.master_seed,
-                trials=args.trials,
-                thresholds=config.thresholds,
-                theory_mode=config.theory_mode,
-            )
-            config.require_valid()
+            config = _checked(dataclasses.replace(config, trials=args.trials))
         labeled = [(label, config)]
 
     out_dir = Path(args.out)

@@ -106,8 +106,12 @@ def validate(params: ModelParams) -> ValidationReport:
     sigma_s2 + 2 r cos(k pi / (n+1)), k = 1..n, all strictly positive
     under the condition for every finite n (|cos| < 1 on the grid), so
     the check is O(1) and independent of n.  ``r = 0`` is accepted but
-    flagged: the bits are then fair coins under both hypotheses and the
-    agreement detector is uninformative.
+    flagged.  With one sensor the bits are then iid fair coins under
+    both hypotheses and the agreement detector is uninformative.  With
+    N >= 2 sensors E[Y] is still the same under both hypotheses, but the
+    shared source makes the sensors' bit rows nearly identical under H1,
+    so Var(Y | H1) is about N times Var(Y | H0) and the test is weakly
+    informative through the variance alone.
     """
     violations = []
     warnings = []
@@ -129,10 +133,16 @@ def validate(params: ModelParams) -> ValidationReport:
             "source covariance not positive definite: requires "
             f"sigma_s2 >= 2|r|, got sigma_s2={params.sigma_s2!r}, r={params.r!r}"
         )
-    if params.r == 0:
+    if params.r == 0 and params.num_sensors == 1:
         warnings.append(
             "r = 0: no correlation between consecutive samples; "
             "the agreement detector is uninformative (ROC on the diagonal)"
+        )
+    elif params.r == 0:
+        warnings.append(
+            "r = 0: no correlation between consecutive samples; the shared "
+            "source still inflates Var(Y | H1) about N-fold, so the agreement "
+            "detector is only weakly informative (same mean under H0 and H1)"
         )
 
     return ValidationReport(tuple(violations), tuple(warnings))

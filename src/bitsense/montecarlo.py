@@ -8,7 +8,6 @@ Results are bit-identical serial and parallel.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -76,8 +75,11 @@ class RunConfig:
     def direction(self) -> DetectorDirection:
         """Test direction; r = 0 falls back to the upward convention.
 
-        The degenerate r = 0 model has no informative direction (the ROC
-        sits on the diagonal either way) but must still be simulatable.
+        At r = 0 E[Y] is the same under both hypotheses, so the sign of r
+        gives no direction, but the model must still be simulatable.  With
+        one sensor the ROC then sits on the diagonal.  With N >= 2 the
+        shared source inflates Var(Y | H1) about N-fold, and the upward
+        test sits above the diagonal.
         """
         if self.params.r < 0:
             return DetectorDirection.LESS_IS_H1
@@ -224,14 +226,23 @@ def estimate_rates(config: RunConfig, workers: int | None = None) -> RocCurve:
 
 
 def exact_h0_rates(config: RunConfig) -> np.ndarray:
-    """Exact binomial firing probability under H0 at every threshold."""
-    out = np.empty(len(config.thresholds))
-    for j, eta in enumerate(config.thresholds):
-        if config.direction is DetectorDirection.GREATER_IS_H1:
-            out[j] = analytic.exact_h0_tail(config.params, math.ceil(eta))
-        else:
-            out[j] = 1.0 - analytic.exact_h0_tail(config.params, math.floor(eta) + 1)
-    return out
+    """Exact binomial firing probability under H0 at every threshold.
+
+    One exact tail table serves every threshold.  The upward test reads
+    P(Y >= ceil(eta)) straight off it, correct to the last float digit.
+    The downward test takes 1 - P(Y >= floor(eta) + 1), which loses all
+    probability below about 1e-16 to cancellation: small lower-tail
+    values lose digits or flush to 0.
+    """
+    m = config.params.pairs_total
+    tail = analytic._exact_h0_tail_table(m)
+
+    def upper(k: np.ndarray) -> np.ndarray:
+        return tail[np.clip(k, 0, m + 1).astype(np.intp)]
+
+    if config.direction is DetectorDirection.GREATER_IS_H1:
+        return upper(np.ceil(config.thresholds))
+    return 1.0 - upper(np.floor(config.thresholds) + 1)
 
 
 def exact_hybrid_curve(config: RunConfig, empirical: RocCurve) -> RocCurve:

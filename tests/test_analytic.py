@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from bitsense.analytic import (
     AgreementMethod,
+    _exact_h0_tail_table,
     NegativeVarianceError,
     TheoryMode,
     agreement_prob,
@@ -302,3 +304,21 @@ class TestExactH0Tail:
         for eta in range(m + 2):
             oracle = Fraction(sum(math.comb(m, k) for k in range(eta, m + 1)), 2**m)
             assert exact_h0_tail(params, eta) == float(oracle)
+
+    def test_bit_identical_to_pascal_reference_for_every_m_up_to_600(self):
+        # Pascal's rule by addition shares nothing with the multiplicative
+        # recurrence; the reference rounds through Fraction.  The full
+        # table is checked at every m; exact_h0_tail, which builds a table
+        # per call, at every eta for small m and at the edges beyond.
+        row = [1]
+        for m in range(1, 601):
+            row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+            suffix = list(itertools.accumulate(reversed(row)))[::-1] + [0]
+            expected = [float(Fraction(s, 2**m)) for s in suffix]
+            assert _exact_h0_tail_table(m).tolist() == expected, m
+            params = make_params(n=m + 1)
+            etas = range(m + 2) if m <= 40 else (1, 2, m // 2, m - 1, m)
+            for eta in etas:
+                assert exact_h0_tail(params, eta) == expected[eta], (m, eta)
+            assert exact_h0_tail(params, -1) == 1.0
+            assert exact_h0_tail(params, m + 5) == 0.0

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bitsense
 import bitsense.signal
 from bitsense.cli import (
     CURVE_HEADER,
@@ -186,6 +191,13 @@ class TestRocCommand:
         assert rc == 2
         assert "trials" in capsys.readouterr().err
 
+    def test_zero_trials_override_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "n = 8\nr = 0.2\ntrials = 40\n")
+        rc = main(["roc", "--config", str(cfg), "--trials", "0", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trials" in err
+
     def test_nine_significant_digit_floats(self, tmp_path):
         out = tmp_path / "fmt"
         cfg = write_config(tmp_path, "n = 20\nr = 0.5\ntrials = 64\nseed = 2\n")
@@ -289,3 +301,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["roc", "--preset", "fig2"])
         assert excinfo.value.code == 2
+
+
+def test_building_the_cli_does_not_import_scipy():
+    # scipy costs most of start-up; only the orthant quadrature needs it
+    src = str(Path(bitsense.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from bitsense import cli\n"
+        "cli.build_parser()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -44,6 +44,16 @@ def test_zero_correlation_is_ok_with_warning():
     assert "uninformative" in report.warnings[0]
 
 
+def test_zero_correlation_warning_depends_on_sensor_count():
+    # one sensor: Y has the same law under both hypotheses; two or more:
+    # the shared source inflates Var(Y | H1), so Y is not uninformative
+    (single,) = validate(make_params(r=0.0, num_sensors=1)).warnings
+    assert "uninformative" in single and "diagonal" in single
+    (network,) = validate(make_params(r=0.0, num_sensors=2)).warnings
+    assert "uninformative" not in network
+    assert "Var(Y | H1)" in network
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bitsense import montecarlo
-from bitsense.analytic import TheoryMode, moments
+from bitsense.analytic import TheoryMode, exact_h0_tail, moments
 from bitsense.curves import RocSource
 from bitsense.detector import sweep_thresholds
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams
@@ -225,6 +225,33 @@ class TestExactRates:
         exact = exact_h0_rates(config)
         assert exact[0] == 0.0
         assert exact[-1] == 1.0
+
+    @pytest.mark.parametrize("r", [0.3, -0.3])
+    @pytest.mark.parametrize("n, num_sensors", [(20, 1), (300, 2)])
+    def test_rates_match_the_scalar_tail_formulas(self, r, n, num_sensors):
+        # thresholds below 0, non-integers, integers and above m; at
+        # m = 598 the far tails are where 1 - P(Y >= k) cancels
+        m = (n - 1) * num_sensors
+        thresholds = [-3.0, -0.5, 0.0, 0.25, 1.0, 7.5, 9.0, 9.999, 18.5, 19.0, 19.5]
+        thresholds += [m / 2 - 0.5, m / 2, m - 1.5, m - 1, m, m + 0.5, m + 1, m + 12.0]
+        thresholds = sorted(set(thresholds))
+        config = make_config(n=n, num_sensors=num_sensors, r=r, trials=1, thresholds=thresholds)
+        for eta, rate in zip(thresholds, exact_h0_rates(config)):
+            if r > 0:
+                expected = exact_h0_tail(config.params, math.ceil(eta))
+            else:
+                expected = 1.0 - exact_h0_tail(config.params, math.floor(eta) + 1)
+            assert rate == expected, eta
+
+    def test_thousands_of_pairs_stay_fast_and_exact(self):
+        # m = 6000: one linear table; re-summing per threshold took hours
+        config = make_config(n=3001, num_sensors=2, trials=1, thresholds=np.arange(6002.0))
+        tail = exact_h0_rates(config)
+        assert len(tail) == 6002
+        assert tail[0] == 1.0
+        assert tail[-1] == 0.0
+        assert np.all(np.diff(tail) <= 0)
+        assert tail[3000] > 0.5 > tail[3001]
 
     def test_hybrid_curve_combines_exact_pfa_with_empirical_pd(self):
         config = make_config(trials=2000)
