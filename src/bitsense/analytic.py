@@ -205,6 +205,43 @@ def gaussian_tail(eta: float, mean: float, var: float, direction: DetectorDirect
     return q_function((mean - eta) / sd)
 
 
+H1_VARIANCE_OK = "ok"
+H1_VARIANCE_NEGATIVE = "negative-variance"
+H1_VARIANCE_ZERO = "zero-variance"
+
+
+def detection_direction(params: ModelParams) -> DetectorDirection:
+    """Test direction: downward for r < 0, otherwise the upward convention.
+
+    ``RunConfig.direction`` delegates here; its docstring says why r = 0
+    takes the upward convention.
+    """
+    if params.r < 0:
+        return DetectorDirection.LESS_IS_H1
+    return DetectorDirection.GREATER_IS_H1
+
+
+def gaussian_rates(params: ModelParams, mode: TheoryMode, thresholds):
+    """Gaussian-approximation Pfa and Pd per threshold, plus the H1 flag.
+
+    Returns ``(pfa, pd, h1_flag)``: lists of floats in threshold order,
+    with ``pd`` None when the mode's H1 variance is negative, and
+    ``h1_flag`` one of the ``H1_VARIANCE_*`` constants.  The tails
+    follow :func:`detection_direction`.
+    """
+    m0 = moments(params, Hypothesis.H0, mode)
+    m1 = moments(params, Hypothesis.H1, mode)
+    direction = detection_direction(params)
+
+    def tails(m: TheoryMoments) -> list[float]:
+        return [gaussian_tail(eta, m.mean, m.variance, direction) for eta in thresholds]
+
+    if m1.variance < 0:
+        return tails(m0), None, H1_VARIANCE_NEGATIVE
+    flag = H1_VARIANCE_ZERO if m1.variance == 0 else H1_VARIANCE_OK
+    return tails(m0), tails(m1), flag
+
+
 def theory_roc(
     params: ModelParams,
     mode: TheoryMode,
@@ -222,19 +259,14 @@ def theory_roc(
     :class:`NegativeVarianceError` in paper-literal mode when p > 1/2.
     """
     thresholds = np.asarray(thresholds, dtype=float)
-    m0 = moments(params, Hypothesis.H0, mode)
-    m1 = moments(params, Hypothesis.H1, mode)
-    if m1.variance < 0:
+    pfa, pd, _ = gaussian_rates(params, mode, thresholds)
+    if pd is None:
+        variance = moments(params, Hypothesis.H1, mode).variance
         p = agreement_prob(params).p
         raise NegativeVarianceError(
-            f"H1 variance {m1.variance:.6g} < 0 in paper-literal mode "
+            f"H1 variance {variance:.6g} < 0 in paper-literal mode "
             f"(p = {p:.6g} > 1/2); use TheoryMode.CONSISTENT"
         )
-    direction = (
-        DetectorDirection.LESS_IS_H1 if params.r < 0 else DetectorDirection.GREATER_IS_H1
-    )
-    pfa = np.array([gaussian_tail(e, m0.mean, m0.variance, direction) for e in thresholds])
-    pd = np.array([gaussian_tail(e, m1.mean, m1.variance, direction) for e in thresholds])
     source = (
         RocSource.THEORY_PAPER_LITERAL
         if mode is TheoryMode.PAPER_LITERAL

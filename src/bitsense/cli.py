@@ -40,6 +40,14 @@ DEFAULT_MASTER_SEED = 123456789
 NOISE_NOTE = "configs declare noise_std (standard deviation); engine uses sigma2 = noise_std**2"
 
 CURVE_HEADER = "eta,pfa_emp,pd_emp,pfa_theory,pd_theory,pfa_exact,mode"
+THEORY_HEADER = "eta,mode,pfa_theory,pd_theory,h1_variance_flag"
+
+#: The theory table's spelling of the library's H1 variance flags.
+_THEORY_FLAGS = {
+    analytic.H1_VARIANCE_OK: "ok",
+    analytic.H1_VARIANCE_NEGATIVE: "NEGATIVE",
+    analytic.H1_VARIANCE_ZERO: "ZERO",
+}
 
 _PRESET_BASE = dict(n=20, sigma_s2=1.0, noise_std=1e-2, trials=20000)
 
@@ -62,10 +70,19 @@ class ConfigError(Exception):
 
 
 def _fmt(x) -> str:
-    """Fixed CSV float format: 9 significant digits; None becomes nan."""
+    """Fixed CSV cell format: floats to 9 significant digits, None as nan,
+    strings as they are."""
     if x is None:
         return "nan"
+    if isinstance(x, str):
+        return x
     return f"{float(x):.9g}"
+
+
+def _csv_lines(header: str, rows: list[dict]) -> list[str]:
+    """The header, then one line per row with the header's columns in order."""
+    columns = header.split(",")
+    return [header] + [",".join(_fmt(row[k]) for k in columns) for row in rows]
 
 
 def _build_config(
@@ -195,6 +212,13 @@ def parse_config_file(path) -> tuple[str, RunConfig]:
         except ValueError as exc:
             raise ConfigError(f"{path}: bad thresholds list") from exc
 
+    try:
+        theory_mode = TheoryMode(values["mode"])
+    except ValueError:
+        raise ConfigError(
+            f"unknown theory mode {values['mode']!r}; choose 'paper' or 'consistent'"
+        ) from None
+
     label = values.get("label", Path(path).stem)
     config = _build_config(
         n=values["n"],
@@ -204,19 +228,10 @@ def parse_config_file(path) -> tuple[str, RunConfig]:
         noise_std=values["noise_std"],
         trials=values["trials"],
         master_seed=values["seed"],
-        theory_mode=_parse_mode(values["mode"]),
+        theory_mode=theory_mode,
         thresholds=thresholds,
     )
     return label, config
-
-
-def _parse_mode(text: str) -> TheoryMode:
-    try:
-        return TheoryMode(text)
-    except ValueError:
-        raise ConfigError(
-            f"unknown theory mode {text!r}; choose 'paper' or 'consistent'"
-        ) from None
 
 
 def _curve_rows(config: RunConfig) -> list[dict]:
@@ -227,44 +242,28 @@ def _curve_rows(config: RunConfig) -> list[dict]:
     CSV) for those rows — the negative variance is never patched over.
     """
     empirical = montecarlo.estimate_rates(config)
+    exact = montecarlo.exact_h0_rates(config)
     rows = []
     for mode in (TheoryMode.CONSISTENT, TheoryMode.PAPER_LITERAL):
-        comparison = montecarlo.compare_theory(
-            dataclasses.replace(config, theory_mode=mode), empirical=empirical
+        pfa, pd, _ = analytic.gaussian_rates(config.params, mode, config.thresholds)
+        rows.extend(
+            {
+                "eta": float(eta),
+                "pfa_emp": float(empirical.pfa[j]),
+                "pd_emp": float(empirical.pd[j]),
+                "pfa_theory": pfa[j],
+                "pd_theory": None if pd is None else pd[j],
+                "pfa_exact": float(exact[j]),
+                "mode": mode.value,
+            }
+            for j, eta in enumerate(config.thresholds)
         )
-        for row in comparison.rows:
-            rows.append(
-                {
-                    "eta": row.eta,
-                    "pfa_emp": row.pfa_emp,
-                    "pd_emp": row.pd_emp,
-                    "pfa_theory": row.pfa_theory,
-                    "pd_theory": row.pd_theory,
-                    "pfa_exact": row.pfa_exact,
-                    "mode": mode.value,
-                }
-            )
     return rows
 
 
 def _write_curve_file(path: Path, rows: list[dict], fmt: str) -> None:
     if fmt == "csv":
-        lines = [CURVE_HEADER]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(row["eta"]),
-                        _fmt(row["pfa_emp"]),
-                        _fmt(row["pd_emp"]),
-                        _fmt(row["pfa_theory"]),
-                        _fmt(row["pd_theory"]),
-                        _fmt(row["pfa_exact"]),
-                        row["mode"],
-                    ]
-                )
-            )
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(_csv_lines(CURVE_HEADER, rows)) + "\n")
     else:
         path.write_text(json.dumps(rows, indent=2) + "\n")
 
@@ -273,30 +272,38 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _resolve_configs(args) -> list[tuple[str, RunConfig]]:
+    """Labeled configs of a roc or theory call.
+
+    --trials and --seed, when given, override a preset's and a config
+    file's values alike; the result is checked again.
+    """
+    if args.preset:
+        labeled = expand_preset(args.preset, master_seed=DEFAULT_MASTER_SEED)
+    else:
+        labeled = [parse_config_file(args.config)]
+    overrides = {
+        key: value
+        for key, value in (("trials", args.trials), ("master_seed", args.seed))
+        if value is not None
+    }
+    return [
+        (label, _checked(dataclasses.replace(config, **overrides)))
+        for label, config in labeled
+    ]
+
+
 def cmd_roc(args) -> int:
     started = time.perf_counter()
-    if args.preset:
-        labeled = expand_preset(
-            args.preset,
-            master_seed=args.seed,
-            trials=args.trials,
-            theory_mode=_parse_mode(args.mode),
-        )
-    else:
-        label, config = parse_config_file(args.config)
-        if args.trials is not None:
-            config = _checked(dataclasses.replace(config, trials=args.trials))
-        labeled = [(label, config)]
-
+    labeled = _resolve_configs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = "csv" if args.format == "csv" else "json"
 
     outputs = []
     config_dicts = []
     for label, config in labeled:
         rows = _curve_rows(config)
-        path = out_dir / f"{label}.{ext}"
+        path = out_dir / f"{label}.{args.format}"
         _write_curve_file(path, rows, args.format)
         outputs.append({"file": path.name, "sha256": _sha256(path)})
         config_dicts.append(montecarlo.config_to_dict(config, label=label))
@@ -319,11 +326,7 @@ def cmd_roc(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    if args.preset:
-        labeled = expand_preset(args.preset, master_seed=args.seed, trials=args.trials)
-    else:
-        labeled = [parse_config_file(args.config)]
-
+    labeled = _resolve_configs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -344,8 +347,17 @@ def cmd_theory(args) -> int:
                 }
         table = []
         for mode in TheoryMode:
-            comparison_rows = _theory_only_rows(config, mode)
-            table.extend(comparison_rows)
+            pfa, pd, flag = analytic.gaussian_rates(params, mode, config.thresholds)
+            table.extend(
+                {
+                    "eta": float(eta),
+                    "mode": mode.value,
+                    "pfa_theory": pfa[j],
+                    "pd_theory": None if pd is None else pd[j],
+                    "h1_variance_flag": _THEORY_FLAGS[flag],
+                }
+                for j, eta in enumerate(config.thresholds)
+            )
 
         path = out_dir / f"{label}_theory.{args.format}"
         if args.format == "json":
@@ -363,47 +375,10 @@ def cmd_theory(args) -> int:
                     f"# moments {name}: mean = {_fmt(m['mean'])}, "
                     f"variance = {_fmt(m['variance'])}"
                 )
-            lines.append("eta,mode,pfa_theory,pd_theory,h1_variance_flag")
-            for row in table:
-                lines.append(
-                    ",".join(
-                        [
-                            _fmt(row["eta"]),
-                            row["mode"],
-                            _fmt(row["pfa_theory"]),
-                            _fmt(row["pd_theory"]),
-                            row["h1_variance_flag"],
-                        ]
-                    )
-                )
+            lines += _csv_lines(THEORY_HEADER, table)
             path.write_text("\n".join(lines) + "\n")
         print(f"wrote {path}")
     return EXIT_OK
-
-
-def _theory_only_rows(config: RunConfig, mode: TheoryMode) -> list[dict]:
-    params = config.params
-    m0 = analytic.moments(params, Hypothesis.H0, mode)
-    m1 = analytic.moments(params, Hypothesis.H1, mode)
-    direction = config.direction
-    rows = []
-    for eta in config.thresholds:
-        pfa = analytic.gaussian_tail(eta, m0.mean, m0.variance, direction)
-        if m1.variance < 0:
-            pd, flag = None, "NEGATIVE"
-        else:
-            pd = analytic.gaussian_tail(eta, m1.mean, m1.variance, direction)
-            flag = "ZERO" if m1.variance == 0 else "ok"
-        rows.append(
-            {
-                "eta": float(eta),
-                "mode": mode.value,
-                "pfa_theory": pfa,
-                "pd_theory": pd,
-                "h1_variance_flag": flag,
-            }
-        )
-    return rows
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -516,31 +491,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_format=True):
+    for name, help_text, func in (
+        ("roc", "Monte Carlo ROC curves + manifest", cmd_roc),
+        ("theory", "analytic moments and Pfa/Pd table", cmd_theory),
+    ):
+        p = sub.add_parser(name, help=help_text)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--preset", choices=sorted(PRESETS), help="named experiment")
         src.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--trials", type=int, default=None, help="override trial count")
         p.add_argument(
-            "--seed", type=int, default=DEFAULT_MASTER_SEED, help="master seed"
+            "--seed",
+            type=int,
+            default=None,
+            help=f"override master seed (presets default to {DEFAULT_MASTER_SEED})",
         )
-        p.add_argument(
-            "--mode",
-            choices=[m.value for m in TheoryMode],
-            default=TheoryMode.CONSISTENT.value,
-            help="theory mode used by the engine",
-        )
-        if with_format:
-            p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    p_roc = sub.add_parser("roc", help="Monte Carlo ROC curves + manifest")
-    add_common(p_roc)
-    p_roc.set_defaults(func=cmd_roc)
-
-    p_theory = sub.add_parser("theory", help="analytic moments and Pfa/Pd table")
-    add_common(p_theory)
-    p_theory.set_defaults(func=cmd_theory)
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.set_defaults(func=func)
 
     p_val = sub.add_parser("validate", help="built-in oracle suite")
     p_val.add_argument("--out", default="validation_report.json")

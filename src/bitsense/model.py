@@ -36,16 +36,18 @@ class DetectorDirection(enum.Enum):
     def from_correlation(cls, r: float) -> "DetectorDirection":
         """Direction implied by the sign of the lag-1 covariance.
 
-        ``r = 0`` is rejected: agreement counts then carry no information
-        about signal presence and no test direction is defined.
+        ``r = 0`` is rejected because its sign gives no direction.  The
+        count is not uninformative there for N >= 2 (the shared source
+        inflates Var(Y | H1)); ``RunConfig.direction`` runs r = 0 with the
+        upward convention.
         """
         if r > 0:
             return cls.GREATER_IS_H1
         if r < 0:
             return cls.LESS_IS_H1
         raise ValueError(
-            "r = 0: one-bit agreement counts are uninformative, "
-            "detector direction undefined"
+            "r = 0: the sign of r gives no test direction; "
+            "RunConfig.direction uses the upward convention"
         )
 
 

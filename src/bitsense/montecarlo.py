@@ -15,7 +15,12 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import analytic, detector, signal
-from .analytic import TheoryMode
+from .analytic import (  # the H1_VARIANCE_* flags are also importable from here
+    H1_VARIANCE_NEGATIVE,
+    H1_VARIANCE_OK,
+    H1_VARIANCE_ZERO,
+    TheoryMode,
+)
 from .curves import RocCurve, RocSource
 from .model import DetectorDirection, Hypothesis, ModelParams, validate
 
@@ -81,9 +86,7 @@ class RunConfig:
         shared source inflates Var(Y | H1) about N-fold, and the upward
         test sits above the diagonal.
         """
-        if self.params.r < 0:
-            return DetectorDirection.LESS_IS_H1
-        return DetectorDirection.GREATER_IS_H1
+        return analytic.detection_direction(self.params)
 
 
 #: Upper bound on the engine's per-chunk normal buffer.  Every array the
@@ -256,11 +259,6 @@ def exact_hybrid_curve(config: RunConfig, empirical: RocCurve) -> RocCurve:
     )
 
 
-H1_VARIANCE_OK = "ok"
-H1_VARIANCE_NEGATIVE = "negative-variance"
-H1_VARIANCE_ZERO = "zero-variance"
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     """One threshold's empirical, Gaussian-theory, and exact-oracle rates.
@@ -315,32 +313,24 @@ def compare_theory(
     config.require_valid()
     if empirical is None:
         empirical = estimate_rates(config, workers)
-    m0 = analytic.moments(config.params, Hypothesis.H0, config.theory_mode)
-    m1 = analytic.moments(config.params, Hypothesis.H1, config.theory_mode)
+    pfa, pd, flag = analytic.gaussian_rates(
+        config.params, config.theory_mode, config.thresholds
+    )
     exact = exact_h0_rates(config)
-    direction = config.direction
-
-    rows = []
-    for j, eta in enumerate(config.thresholds):
-        pfa_theory = analytic.gaussian_tail(eta, m0.mean, m0.variance, direction)
-        if m1.variance < 0:
-            pd_theory, flag = None, H1_VARIANCE_NEGATIVE
-        else:
-            pd_theory = analytic.gaussian_tail(eta, m1.mean, m1.variance, direction)
-            flag = H1_VARIANCE_ZERO if m1.variance == 0 else H1_VARIANCE_OK
-        rows.append(
-            ComparisonRow(
-                eta=float(eta),
-                pfa_emp=float(empirical.pfa[j]),
-                pfa_theory=pfa_theory,
-                pfa_exact=float(exact[j]),
-                pd_emp=float(empirical.pd[j]),
-                pd_theory=pd_theory,
-                h1_flag=flag,
-            )
+    rows = tuple(
+        ComparisonRow(
+            eta=float(eta),
+            pfa_emp=float(empirical.pfa[j]),
+            pfa_theory=pfa[j],
+            pfa_exact=float(exact[j]),
+            pd_emp=float(empirical.pd[j]),
+            pd_theory=None if pd is None else pd[j],
+            h1_flag=flag,
         )
+        for j, eta in enumerate(config.thresholds)
+    )
     p = analytic.agreement_prob(config.params).p
-    return TheoryComparison(config=config, agreement_p=p, rows=tuple(rows))
+    return TheoryComparison(config=config, agreement_p=p, rows=rows)
 
 
 @dataclass(frozen=True)

@@ -317,3 +317,74 @@ def test_building_the_cli_does_not_import_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+class TestOverrides:
+    def test_seed_overrides_a_config_file(self, tmp_path):
+        cfg = write_config(tmp_path, "n = 8\nr = 0.3\ntrials = 60\n", "noseed.cfg")
+        assert main(["roc", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main(["roc", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "noseed.csv").read_bytes() != (tmp_path / "b" / "noseed.csv").read_bytes()
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["configs"][0]["master_seed"] == 7
+        out = tmp_path / "t"
+        assert main(["theory", "--config", str(cfg), "--seed", "7", "--out", str(out), "--format", "json"]) == 0
+        assert json.loads((out / "noseed_theory.json").read_text())["params"]["master_seed"] == 7
+
+    @pytest.mark.parametrize("command", ["roc", "theory"])
+    def test_bad_seed_override_is_a_usage_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "n = 8\nr = 0.3\ntrials = 60\n")
+        rc = main([command, "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "master_seed" in err
+
+    @pytest.mark.parametrize(
+        "source, name",
+        [(["--preset", "fig2"], "fig2_r0.1_theory.json"), (["--config", "c.cfg"], "c_theory.json")],
+    )
+    def test_theory_echoes_the_trials_override(self, tmp_path, monkeypatch, source, name):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, "n = 8\nr = 0.3\ntrials = 50\n", "c.cfg")
+        argv = ["theory", *source, "--trials", "9", "--out", "out", "--format", "json"]
+        assert main(argv) == 0
+        payload = json.loads((tmp_path / "out" / name).read_text())
+        assert payload["params"]["trials"] == 9
+
+
+#: sha256 of CLI outputs, recorded before the theory tables, the CSV writer
+#: and the config resolver were each merged into one implementation.  A
+#: deliberate, versioned output change re-records these.
+RECORDED_SHA256 = {
+    "fig3_N1_theory.csv": "488c6cb8a656c9a4025afb9fcb02570719407c762672ae1b013f814bcf6cf053",
+    "fig3_N1_theory.json": "1a8af4f70ebff25b66eaef09eaeb72a3909bae2b37d559a443889879a07cd786",
+    "fig3_N2_theory.csv": "5744e9f898620bf0090af9b47583683cd2d9aaf343e7d8024f2ffa71df0304fd",
+    "fig3_N2_theory.json": "3009d78ec1828bdaacd473c4cb4db6ce2f35a420e81c109fcc7a6d3e232b3bc8",
+    "fig3_N3_theory.csv": "23211744cfa2a191bb01685ebd31dc999de03ac9eb50e7d8183969ff6b0f5409",
+    "fig3_N3_theory.json": "2f35ccf30802c0b03c020f17c422f5bd118dd0cef8b4cb01e14382970d73bcce",
+    "flat_theory.csv": "3d5167e67f0e12481e216f5468fd6cca6b310c42ec171ad2db1e01d006a146b6",
+    "flat_theory.json": "135f38b4cc0c3601475296a4d96f046d9cf723618d80eff1683358bf100d21df",
+    "neg.csv": "96216e659bdf2311b25c47176be4e04128614ced6e42b8f4d39242996b2f3026",
+}
+
+
+def test_output_bytes_match_the_recorded_sha256s(tmp_path):
+    import hashlib
+
+    neg = write_config(tmp_path, "n = 12\nnum_sensors = 3\nr = -0.3\ntrials = 300\n", "neg.cfg")
+    flat = write_config(tmp_path, "n = 20\nnum_sensors = 2\nr = 0\nmode = paper\n", "flat.cfg")
+    out = tmp_path / "out"
+    for argv in (
+        ["theory", "--preset", "fig3"],
+        ["theory", "--preset", "fig3", "--format", "json"],
+        ["roc", "--config", str(neg)],
+        ["theory", "--config", str(flat)],
+        ["theory", "--config", str(flat), "--format", "json"],
+    ):
+        assert main(argv + ["--out", str(out)]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.iterdir()
+        if path.name != "manifest.json"
+    }
+    assert digests == RECORDED_SHA256

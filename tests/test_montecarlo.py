@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -5,7 +6,14 @@ import numpy as np
 import pytest
 
 from bitsense import montecarlo
-from bitsense.analytic import TheoryMode, exact_h0_tail, moments
+from bitsense.analytic import (
+    NegativeVarianceError,
+    TheoryMode,
+    exact_h0_tail,
+    moments,
+    theory_roc,
+)
+from bitsense.cli import main, parse_config_file
 from bitsense.curves import RocSource
 from bitsense.detector import sweep_thresholds
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams
@@ -322,3 +330,43 @@ def test_config_to_dict_echoes_everything_needed_for_replay():
     assert echo["master_seed"] == 77
     assert echo["theory_mode"] == "consistent"
     assert echo["thresholds"] == config.thresholds.tolist()
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        # paper-mode H1 variance is negative: theory_roc refuses, the tables flag it
+        ("n = 20\nr = 0.5\n", {"paper": "NEGATIVE", "consistent": "ok"}),
+        # downward test at non-integer thresholds
+        (
+            "n = 12\nnum_sensors = 3\nr = -0.3\nthresholds = -1, 2.5, 7, 10.25, 40\n",
+            {"paper": "ok", "consistent": "ok"},
+        ),
+        # paper-mode H1 variance is exactly 0: a step, flagged ZERO
+        ("n = 20\nnum_sensors = 2\nr = 0\n", {"paper": "ZERO", "consistent": "ok"}),
+    ],
+)
+def test_theory_roc_compare_theory_and_theory_table_agree(tmp_path, text, flags):
+    cfg = tmp_path / "cross.cfg"
+    cfg.write_text(text + "trials = 20\n")
+    _, config = parse_config_file(cfg)
+    assert main(["theory", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) == 0
+    table = json.loads((tmp_path / "cross_theory.json").read_text())["rows"]
+    empirical = estimate_rates(config)
+    library_flag = {"ok": "ok", "NEGATIVE": "negative-variance", "ZERO": "zero-variance"}
+    for mode in TheoryMode:
+        rows = [row for row in table if row["mode"] == mode.value]
+        report = compare_theory(replace(config, theory_mode=mode), empirical=empirical)
+        assert [row["eta"] for row in rows] == config.thresholds.tolist()
+        assert {row["h1_variance_flag"] for row in rows} == {flags[mode.value]}
+        assert {r.h1_flag for r in report.rows} == {library_flag[flags[mode.value]]}
+        assert [row["pfa_theory"] for row in rows] == [r.pfa_theory for r in report.rows]
+        assert [row["pd_theory"] for row in rows] == [r.pd_theory for r in report.rows]
+        if flags[mode.value] == "NEGATIVE":
+            assert all(row["pd_theory"] is None for row in rows)
+            with pytest.raises(NegativeVarianceError):
+                theory_roc(config.params, mode, config.thresholds)
+            continue
+        curve = theory_roc(config.params, mode, config.thresholds)
+        assert curve.pfa.tolist() == [row["pfa_theory"] for row in rows]
+        assert curve.pd.tolist() == [row["pd_theory"] for row in rows]
