@@ -258,15 +258,15 @@ def theory_roc(
     and the empirical ROC lies above the diagonal.  Raises
     :class:`NegativeVarianceError` in paper-literal mode when p > 1/2.
     """
-    thresholds = np.asarray(thresholds, dtype=float)
-    pfa, pd, _ = gaussian_rates(params, mode, thresholds)
-    if pd is None:
-        variance = moments(params, Hypothesis.H1, mode).variance
+    variance = moments(params, Hypothesis.H1, mode).variance
+    if variance < 0:
         p = agreement_prob(params).p
         raise NegativeVarianceError(
             f"H1 variance {variance:.6g} < 0 in paper-literal mode "
             f"(p = {p:.6g} > 1/2); use TheoryMode.CONSISTENT"
         )
+    thresholds = np.asarray(thresholds, dtype=float)
+    pfa, pd, _ = gaussian_rates(params, mode, thresholds)
     source = (
         RocSource.THEORY_PAPER_LITERAL
         if mode is TheoryMode.PAPER_LITERAL

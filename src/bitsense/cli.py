@@ -94,7 +94,7 @@ def _build_config(
     noise_std: float,
     trials: int,
     master_seed: int,
-    theory_mode: TheoryMode,
+    theory_mode: TheoryMode = TheoryMode.CONSISTENT,
     thresholds=None,
 ) -> RunConfig:
     params = ModelParams(
@@ -128,7 +128,6 @@ def expand_preset(
     *,
     master_seed: int,
     trials: int | None = None,
-    theory_mode: TheoryMode = TheoryMode.CONSISTENT,
 ) -> list[tuple[str, RunConfig]]:
     """Resolve a preset name into labeled RunConfigs."""
     if name not in PRESETS:
@@ -143,7 +142,6 @@ def expand_preset(
             noise_std=entry["noise_std"],
             trials=entry["trials"] if trials is None else trials,
             master_seed=master_seed,
-            theory_mode=theory_mode,
         )
         out.append((entry["label"], config))
     return out
@@ -421,7 +419,6 @@ def run_validation_suite(trials: int, master_seed: int) -> list[dict]:
         noise_std=1e-2,
         trials=trials,
         master_seed=master_seed,
-        theory_mode=TheoryMode.CONSISTENT,
     )
     pfa_runs = []
     for offset in range(5):

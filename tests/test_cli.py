@@ -354,7 +354,12 @@ class TestOverrides:
 
 #: sha256 of CLI outputs, recorded before the theory tables, the CSV writer
 #: and the config resolver were each merged into one implementation.  A
-#: deliberate, versioned output change re-records these.
+#: deliberate, versioned output change re-records these.  Recorded on
+#: x86_64 Linux (glibc 2.36) with Python 3.11.7 and numpy 2.4.6: the JSON
+#: floats come from math.erfc and the roc CSV from numpy's
+#: Generator.standard_normal, whose stream numpy does not promise to keep
+#: across versions, so a mismatch on another platform or numpy may be a
+#: library change rather than a change in this code.
 RECORDED_SHA256 = {
     "fig3_N1_theory.csv": "488c6cb8a656c9a4025afb9fcb02570719407c762672ae1b013f814bcf6cf053",
     "fig3_N1_theory.json": "1a8af4f70ebff25b66eaef09eaeb72a3909bae2b37d559a443889879a07cd786",
