@@ -297,16 +297,18 @@ def _exact_h0_tail_table(m: int) -> np.ndarray:
     return table
 
 
-def exact_h0_tail(params: ModelParams, eta: int) -> float:
+def exact_h0_tail(params: ModelParams, eta: float) -> float:
     """Exact P(Y >= eta | H0) as a Binomial((n-1)N, 1/2) upper tail.
 
     Under H0 all bits are iid fair coins, so the (n-1)N consecutive-pair
     agreement indicators are iid Bernoulli(1/2) and the count is exactly
-    binomial.  Computed in integer arithmetic and rounded once at the
-    end, so the value is correct to the last float digit.
+    binomial.  The integer count reaches a threshold eta at ceil(eta),
+    the rule ``montecarlo.exact_h0_rates`` uses.  Computed in integer
+    arithmetic and rounded once at the end, so the value is correct to
+    the last float digit.
     """
     m = params.pairs_total
-    eta = int(eta)
+    eta = math.ceil(eta)
     if eta <= 0:
         return 1.0
     if eta > m:

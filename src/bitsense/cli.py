@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -49,19 +50,12 @@ _THEORY_FLAGS = {
     analytic.H1_VARIANCE_ZERO: "ZERO",
 }
 
-_PRESET_BASE = dict(n=20, sigma_s2=1.0, noise_std=1e-2, trials=20000)
-
-#: Named experiment presets: single sensor across correlation levels, and
-#: a fixed correlation across network sizes.
+#: Named experiment presets in config-file keys: single sensor across
+#: correlation levels, and a fixed correlation across network sizes.
+#: Every other value comes from _CONFIG_DEFAULTS, as for a config file.
 PRESETS = {
-    "fig2": [
-        dict(_PRESET_BASE, label=f"fig2_r{r}", r=r, num_sensors=1)
-        for r in (0.1, 0.3, 0.5)
-    ],
-    "fig3": [
-        dict(_PRESET_BASE, label=f"fig3_N{N}", r=0.5, num_sensors=N)
-        for N in (1, 2, 3)
-    ],
+    "fig2": [dict(label=f"fig2_r{r}", n=20, r=r) for r in (0.1, 0.3, 0.5)],
+    "fig3": [dict(label=f"fig3_N{N}", n=20, r=0.5, num_sensors=N) for N in (1, 2, 3)],
 }
 
 
@@ -85,34 +79,40 @@ def _csv_lines(header: str, rows: list[dict]) -> list[str]:
     return [header] + [",".join(_fmt(row[k]) for k in columns) for row in rows]
 
 
-def _build_config(
-    *,
-    n: int,
-    num_sensors: int,
-    sigma_s2: float,
-    r: float,
-    noise_std: float,
-    trials: int,
-    master_seed: int,
-    theory_mode: TheoryMode = TheoryMode.CONSISTENT,
+def _theory_mode(text: str) -> TheoryMode:
+    try:
+        return TheoryMode(text)
+    except ValueError:
+        raise ConfigError(
+            f"unknown theory mode {text!r}; choose 'paper' or 'consistent'"
+        ) from None
+
+
+#: Config-file keys and the converter each value's text goes through.
+_CONFIG_KEYS = {
+    "n": int,
+    "num_sensors": int,
+    "sigma_s2": float,
+    "r": float,
+    "noise_std": float,
+    "trials": int,
+    "seed": int,
+    "mode": _theory_mode,
+    "thresholds": lambda text: np.array([float(v) for v in text.split(",")]),
+    "label": str,
+}
+
+#: Converted values of every key but n, r and label; thresholds None is
+#: the canonical half-integer sweep.
+_CONFIG_DEFAULTS = dict(
+    num_sensors=1,
+    sigma_s2=1.0,
+    noise_std=1e-2,
+    trials=20000,
+    seed=DEFAULT_MASTER_SEED,
+    mode=TheoryMode.CONSISTENT,
     thresholds=None,
-) -> RunConfig:
-    params = ModelParams(
-        n=n,
-        num_sensors=num_sensors,
-        sigma_s2=sigma_s2,
-        r=r,
-        sigma2=noise_std**2,
-    )
-    return _checked(
-        RunConfig(
-            params=params,
-            master_seed=master_seed,
-            trials=trials,
-            thresholds=thresholds,
-            theory_mode=theory_mode,
-        )
-    )
+)
 
 
 def _checked(config: RunConfig) -> RunConfig:
@@ -121,6 +121,36 @@ def _checked(config: RunConfig) -> RunConfig:
     if problems:
         raise ConfigError("; ".join(problems))
     return config
+
+
+def _build(values: dict, **overrides) -> tuple[str, RunConfig]:
+    """The only way user values become a labeled, checked RunConfig.
+
+    ``values`` are converted values in config-file keys; the overrides
+    that are not None go over them, and both go over _CONFIG_DEFAULTS.
+    """
+    given = {key: value for key, value in overrides.items() if value is not None}
+    v = {**_CONFIG_DEFAULTS, **values, **given}
+    label, noise_std = v["label"], v["noise_std"]
+    if label in ("", ".", "..") or any(c in label for c in "/\\\0"):
+        raise ConfigError(f"label must be a plain file name, got {label!r}")
+    if not (noise_std > 0 and math.isfinite(noise_std * noise_std)):
+        raise ConfigError(f"noise_std must be > 0 with a finite square, got {noise_std!r}")
+    params = ModelParams(
+        n=v["n"],
+        num_sensors=v["num_sensors"],
+        sigma_s2=v["sigma_s2"],
+        r=v["r"],
+        sigma2=noise_std**2,
+    )
+    config = RunConfig(
+        params=params,
+        master_seed=v["seed"],
+        trials=v["trials"],
+        thresholds=v["thresholds"],
+        theory_mode=v["mode"],
+    )
+    return label, _checked(config)
 
 
 def expand_preset(
@@ -132,52 +162,17 @@ def expand_preset(
     """Resolve a preset name into labeled RunConfigs."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    out = []
-    for entry in PRESETS[name]:
-        config = _build_config(
-            n=entry["n"],
-            num_sensors=entry["num_sensors"],
-            sigma_s2=entry["sigma_s2"],
-            r=entry["r"],
-            noise_std=entry["noise_std"],
-            trials=entry["trials"] if trials is None else trials,
-            master_seed=master_seed,
-        )
-        out.append((entry["label"], config))
-    return out
+    return [_build(entry, seed=master_seed, trials=trials) for entry in PRESETS[name]]
 
 
-_CONFIG_KEYS = {
-    "n": int,
-    "num_sensors": int,
-    "sigma_s2": float,
-    "r": float,
-    "noise_std": float,
-    "trials": int,
-    "seed": int,
-    "mode": str,
-    "thresholds": str,
-    "label": str,
-}
-
-_CONFIG_DEFAULTS = dict(
-    num_sensors=1, sigma_s2=1.0, noise_std=1e-2, trials=20000, mode="consistent"
-)
-
-
-def parse_config_file(path) -> tuple[str, RunConfig]:
-    """Read a flat key = value config file (# starts a comment).
-
-    Required keys: n, r.  Optional keys with defaults: num_sensors=1,
-    sigma_s2=1.0, noise_std=0.01, trials=20000, seed, mode=consistent,
-    thresholds (comma list; default is the canonical half-integer sweep),
-    label.
-    """
-    raw: dict[str, str] = {}
+def _read_config_file(path) -> dict:
+    """A config file's converted values in config-file keys; the label
+    defaults to the file's stem."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    values = {"label": Path(path).stem}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -189,47 +184,25 @@ def parse_config_file(path) -> tuple[str, RunConfig]:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r}; known keys: {sorted(_CONFIG_KEYS)}"
             )
-        raw[key] = value
-
+        try:
+            values[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     for required in ("n", "r"):
-        if required not in raw:
+        if required not in values:
             raise ConfigError(f"{path}: missing required key {required!r}")
+    return values
 
-    values: dict = dict(_CONFIG_DEFAULTS)
-    values.setdefault("seed", DEFAULT_MASTER_SEED)
-    for key, text_value in raw.items():
-        try:
-            values[key] = _CONFIG_KEYS[key](text_value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad value for {key}: {text_value!r}") from exc
 
-    thresholds = None
-    if "thresholds" in values:
-        try:
-            thresholds = np.array([float(v) for v in values["thresholds"].split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad thresholds list") from exc
+def parse_config_file(path) -> tuple[str, RunConfig]:
+    """Read a flat key = value config file (# starts a comment).
 
-    try:
-        theory_mode = TheoryMode(values["mode"])
-    except ValueError:
-        raise ConfigError(
-            f"unknown theory mode {values['mode']!r}; choose 'paper' or 'consistent'"
-        ) from None
-
-    label = values.get("label", Path(path).stem)
-    config = _build_config(
-        n=values["n"],
-        num_sensors=values["num_sensors"],
-        sigma_s2=values["sigma_s2"],
-        r=values["r"],
-        noise_std=values["noise_std"],
-        trials=values["trials"],
-        master_seed=values["seed"],
-        theory_mode=theory_mode,
-        thresholds=thresholds,
-    )
-    return label, config
+    Required keys: n, r.  Optional keys with defaults: num_sensors=1,
+    sigma_s2=1.0, noise_std=0.01, trials=20000, seed, mode=consistent,
+    thresholds (comma list; default is the canonical half-integer sweep),
+    label (default the file's stem).
+    """
+    return _build(_read_config_file(path))
 
 
 def _curve_rows(config: RunConfig) -> list[dict]:
@@ -273,22 +246,11 @@ def _sha256(path: Path) -> str:
 def _resolve_configs(args) -> list[tuple[str, RunConfig]]:
     """Labeled configs of a roc or theory call.
 
-    --trials and --seed, when given, override a preset's and a config
-    file's values alike; the result is checked again.
+    --trials and --seed, when given, go over a preset's and a config
+    file's values alike, before the one check.
     """
-    if args.preset:
-        labeled = expand_preset(args.preset, master_seed=DEFAULT_MASTER_SEED)
-    else:
-        labeled = [parse_config_file(args.config)]
-    overrides = {
-        key: value
-        for key, value in (("trials", args.trials), ("master_seed", args.seed))
-        if value is not None
-    }
-    return [
-        (label, _checked(dataclasses.replace(config, **overrides)))
-        for label, config in labeled
-    ]
+    entries = PRESETS[args.preset] if args.preset else [_read_config_file(args.config)]
+    return [_build(entry, trials=args.trials, seed=args.seed) for entry in entries]
 
 
 def cmd_roc(args) -> int:
@@ -411,22 +373,10 @@ def run_validation_suite(trials: int, master_seed: int) -> list[dict]:
     # threshold.  The rate is averaged over 5 derived seeds while the band
     # stays at the single-run width 3*sqrt(q(1-q)/trials), so a pass needs
     # agreement at ~6.7 sigma per point and holds for any master seed.
-    config = _build_config(
-        n=20,
-        num_sensors=1,
-        sigma_s2=1.0,
-        r=0.5,
-        noise_std=1e-2,
-        trials=trials,
-        master_seed=master_seed,
-    )
+    _, config = _build(dict(label="validate", n=20, r=0.5), trials=trials, seed=master_seed)
     pfa_runs = []
     for offset in range(5):
-        sub = RunConfig(
-            params=config.params,
-            master_seed=(master_seed + offset) % 2**64,
-            trials=trials,
-        )
+        sub = dataclasses.replace(config, master_seed=(master_seed + offset) % 2**64)
         stats = np.sort(montecarlo.simulate_statistics(sub, Hypothesis.H0))
         pfa_runs.append(montecarlo._tail_rates(stats, sub.thresholds, sub.direction))
     pfa_avg = np.mean(pfa_runs, axis=0)

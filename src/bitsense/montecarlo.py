@@ -65,6 +65,8 @@ class RunConfig:
             problems.append(f"trials must be an integer >= 1, got {self.trials!r}")
         if len(self.thresholds) == 0:
             problems.append("thresholds must be non-empty")
+        elif not np.all(np.isfinite(self.thresholds)):
+            problems.append("thresholds must be finite")
         elif len(self.thresholds) >= 2 and not np.all(np.diff(self.thresholds) > 0):
             problems.append("thresholds must be strictly increasing")
         if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < 2**64:

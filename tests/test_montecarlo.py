@@ -370,3 +370,20 @@ def test_theory_roc_compare_theory_and_theory_table_agree(tmp_path, text, flags)
         curve = theory_roc(config.params, mode, config.thresholds)
         assert curve.pfa.tolist() == [row["pfa_theory"] for row in rows]
         assert curve.pd.tolist() == [row["pd_theory"] for row in rows]
+
+
+class TestThresholdRules:
+    @pytest.mark.parametrize("thresholds", [[math.nan], [0.5, math.inf], [-math.inf, 2.5]])
+    def test_non_finite_thresholds_are_violations(self, thresholds):
+        config = make_config(trials=50, thresholds=thresholds)
+        assert "thresholds must be finite" in config.violations()
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            estimate_rates(config)
+
+    @pytest.mark.parametrize("num_sensors", [1, 3])
+    def test_exact_h0_tail_matches_exact_h0_rates(self, num_sensors):
+        config = make_config(n=9, num_sensors=num_sensors, trials=50)
+        grid = np.arange(-2, config.params.pairs_total + 3) + 0.5
+        config = replace(config, thresholds=grid)
+        tails = [exact_h0_tail(config.params, eta) for eta in grid]
+        assert tails == exact_h0_rates(config).tolist()
