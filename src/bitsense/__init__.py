@@ -43,10 +43,12 @@ from .montecarlo import (
     RunManifest,
     compare_theory,
     estimate_rates,
+    estimate_sweep,
     exact_h0_rates,
     exact_hybrid_curve,
     seed_for_trial,
     simulate_statistics,
+    simulate_sweep,
 )
 from .signal import (
     BidiagonalFactor,

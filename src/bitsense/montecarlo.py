@@ -29,7 +29,10 @@ from .model import DetectorDirection, Hypothesis, ModelParams, validate
 #: 256-bit counter holds the trial index in word 2 and the hypothesis tag
 #: in word 3.  Philox increments only the block counter in word 0 while
 #: generating, so distinct (trial, hypothesis) streams can never overlap.
-#: Each trial consumes draws signal-first, then noise row-major.
+#: Each trial consumes draws signal-first, then noise row-major.  So at
+#: one master seed and hypothesis, a config's draws for a trial are a
+#: prefix of any wider config's draws for it, whatever either's n, N or
+#: r, and `simulate_sweep` draws each seed's trials once.
 RNG_SCHEME = (
     "philox4x64-10; key=seedseq(master_seed).state[2]; "
     "counter=[0, 0, trial_index, hypothesis]; draws=signal,noise-rows"
@@ -119,24 +122,32 @@ def seed_for_trial(
     return np.random.Generator(bitgen)
 
 
-def _run_trials(
-    params: ModelParams,
+def _run_sweep_trials(
+    params: list[ModelParams],
+    stops: list[int],
     key: np.ndarray,
     hypothesis: Hypothesis,
     start: int,
     stop: int,
-) -> np.ndarray:
-    """Statistics for trials [start, stop), each on its own stream.
+) -> list[np.ndarray]:
+    """Statistics of trials [start, min(stop, stops[i])) for each params[i].
 
+    The key is the Philox key of the one master seed all params share.
     One Philox is reset to each trial's fresh-stream state in turn, which
     draws exactly what `seed_for_trial` would.  A trial's normals fill
-    one row of a chunk buffer; the source, quantizer and count then run
-    over the whole chunk.
+    one row of a chunk buffer, as wide as the widest params that still
+    needs the chunk's first trial; each params then runs the source,
+    quantizer and count over its own prefix of the rows it needs (see
+    RNG_SCHEME).
     """
-    factor = signal.factor_covariance(params) if hypothesis is Hypothesis.H1 else None
-    width = signal.draw_width(params, hypothesis)
-    chunk = max(1, CHUNK_BYTES // (8 * width))
-    draws = np.empty((min(chunk, stop - start), width))
+    widths = [signal.draw_width(p, hypothesis) for p in params]
+    factors = [
+        signal.factor_covariance(p) if hypothesis is Hypothesis.H1 else None
+        for p in params
+    ]
+    widest = max(widths)
+    chunk = max(1, CHUNK_BYTES // (8 * widest))
+    draws = np.empty((min(chunk, stop - start), widest))
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)
     # A fresh stream's state: buffer_pos 4 means the first draw starts a
@@ -146,21 +157,36 @@ def _run_trials(
     state["state"]["key"] = key.tolist()
     state["buffer"] = state["buffer"].tolist()
     hyp_tag = hypothesis.value
-    out = np.empty(stop - start, dtype=np.int64)
+    outs = [np.empty(max(0, min(stop, s) - start), dtype=np.int64) for s in stops]
     for lo in range(start, stop, chunk):
-        rows = draws[: min(chunk, stop - lo)]
+        needed = max(w for w, s in zip(widths, stops) if s > lo)
+        rows = draws[: min(chunk, stop - lo), :needed]
         for t, row in enumerate(rows, lo):
             state["state"]["counter"] = _trial_counter(t, hyp_tag)
             bitgen.state = state
             rng.standard_normal(out=row)
-        bits = signal.observe_draws(params, hypothesis, rows, factor=factor)
-        out[lo - start : lo - start + len(rows)] = detector.agreement_counts(bits)
-    return out
+        for p, width, factor, out in zip(params, widths, factors, outs):
+            k = min(len(rows), start + len(out) - lo)
+            if k > 0:
+                bits = signal.observe_draws(p, hypothesis, rows[:k, :width], factor=factor)
+                out[lo - start : lo - start + k] = detector.agreement_counts(bits)
+    return outs
 
 
-def _run_trials_star(args) -> np.ndarray:
-    params, key, hyp_tag, start, stop = args
-    return _run_trials(params, key, Hypothesis(hyp_tag), start, stop)
+def _run_sweep_trials_star(args) -> list[np.ndarray]:
+    params, stops, key, hyp_tag, start, stop = args
+    return _run_sweep_trials(params, stops, key, Hypothesis(hyp_tag), start, stop)
+
+
+def _run_trials(
+    params: ModelParams,
+    key: np.ndarray,
+    hypothesis: Hypothesis,
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """Statistics for trials [start, stop) of one params."""
+    return _run_sweep_trials([params], [stop], key, hypothesis, start, stop)[0]
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -169,29 +195,61 @@ def _resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
-def simulate_statistics(
-    config: RunConfig, hypothesis: Hypothesis, workers: int | None = None
-) -> np.ndarray:
-    """Per-trial detection statistics, ordered by trial index.
+def _simulate_group(
+    group: list[RunConfig], hypothesis: Hypothesis, workers: int
+) -> list[np.ndarray]:
+    """Statistics of configs that share one master seed, from one draw pass."""
+    params = [c.params for c in group]
+    stops = [c.trials for c in group]
+    key = _philox_key(group[0].master_seed)
+    trials = max(stops)
+    if workers == 1 or trials < 2 * workers:
+        return _run_sweep_trials(params, stops, key, hypothesis, 0, trials)
+    bounds = np.linspace(0, trials, workers + 1, dtype=int)
+    tasks = [
+        (params, stops, key, hypothesis.value, int(a), int(b))
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    with get_context("fork").Pool(workers) as pool:
+        parts = pool.map(_run_sweep_trials_star, tasks)
+    return [np.concatenate(columns) for columns in zip(*parts)]
 
+
+def simulate_sweep(
+    configs: list[RunConfig], hypothesis: Hypothesis, workers: int | None = None
+) -> list[np.ndarray]:
+    """Per-trial statistics of each config, in input order.
+
+    Configs that share a master seed are drawn in one pass over the
+    group's largest trial count.  A trial's stream depends only on the
+    seed, the hypothesis and the trial index, so each config reads its
+    prefix of every trial's draws and keeps its first `trials` statistics:
+    each result equals a run of that config alone.
     ``workers`` defaults to the BITSENSE_WORKERS environment variable
     (serial if unset).  The result is identical for any worker count:
     chunks are pure functions of the trial range and are reassembled in
     order.
     """
-    config.require_valid()
+    for config in configs:
+        config.require_valid()
     workers = _resolve_workers(workers)
-    key = _philox_key(config.master_seed)
-    if workers == 1 or config.trials < 2 * workers:
-        return _run_trials(config.params, key, hypothesis, 0, config.trials)
-    bounds = np.linspace(0, config.trials, workers + 1, dtype=int)
-    tasks = [
-        (config.params, key, hypothesis.value, int(a), int(b))
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-    with get_context("fork").Pool(workers) as pool:
-        chunks = pool.map(_run_trials_star, tasks)
-    return np.concatenate(chunks)
+    groups: dict[int, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(config.master_seed, []).append(i)
+    results: list[np.ndarray] = [None] * len(configs)
+    for members in groups.values():
+        stats = _simulate_group([configs[i] for i in members], hypothesis, workers)
+        for i, y in zip(members, stats):
+            results[i] = y
+    return results
+
+
+def simulate_statistics(
+    config: RunConfig, hypothesis: Hypothesis, workers: int | None = None
+) -> np.ndarray:
+    """Per-trial detection statistics, ordered by trial index (see
+    `simulate_sweep`)."""
+    return simulate_sweep([config], hypothesis, workers)[0]
 
 
 def _tail_rates(
@@ -211,23 +269,45 @@ def _tail_rates(
     return fired / trials
 
 
+def _sweep_rates(
+    configs: list[RunConfig], hypothesis: Hypothesis, workers: int | None
+) -> list[np.ndarray]:
+    """Each config's firing rate per threshold under one hypothesis."""
+    return [
+        _tail_rates(np.sort(y), c.thresholds, c.direction)
+        for c, y in zip(configs, simulate_sweep(configs, hypothesis, workers))
+    ]
+
+
+def estimate_sweep(
+    configs: list[RunConfig], workers: int | None = None
+) -> list[RocCurve]:
+    """Empirical ROC of each config, in input order (see `simulate_sweep`).
+
+    Each hypothesis's statistics are reduced to rates before the next
+    hypothesis is drawn, so only one hypothesis's statistics are held.
+    """
+    pfa = _sweep_rates(configs, Hypothesis.H0, workers)
+    pd = _sweep_rates(configs, Hypothesis.H1, workers)
+    return [
+        RocCurve(
+            eta=c.thresholds,
+            pfa=a,
+            pd=b,
+            source=RocSource.EMPIRICAL,
+            trials_used=c.trials,
+        )
+        for c, a, b in zip(configs, pfa, pd)
+    ]
+
+
 def estimate_rates(config: RunConfig, workers: int | None = None) -> RocCurve:
     """Empirical ROC from `trials` H0 trials and `trials` H1 trials.
 
     Both hypotheses are always simulated in one run so pfa and pd at each
     threshold come from the same config.
     """
-    y0 = np.sort(simulate_statistics(config, Hypothesis.H0, workers))
-    y1 = np.sort(simulate_statistics(config, Hypothesis.H1, workers))
-    pfa = _tail_rates(y0, config.thresholds, config.direction)
-    pd = _tail_rates(y1, config.thresholds, config.direction)
-    return RocCurve(
-        eta=config.thresholds,
-        pfa=pfa,
-        pd=pd,
-        source=RocSource.EMPIRICAL,
-        trials_used=config.trials,
-    )
+    return estimate_sweep([config], workers)[0]
 
 
 def exact_h0_rates(config: RunConfig) -> np.ndarray:

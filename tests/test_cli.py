@@ -466,3 +466,47 @@ def test_override_outputs_match_the_recorded_sha256s(tmp_path):
         if path.name != "manifest.json"
     }
     assert digests == RECORDED_OVERRIDE_SHA256
+
+
+#: sha256 of `roc --preset fig3 --trials 300 --seed 5`, recorded before the
+#: three configs shared one draw pass per hypothesis.  Same platform
+#: caveats as RECORDED_SHA256.
+RECORDED_SWEEP_SHA256 = {
+    "fig3_N1.csv": "214af090342f7da8efa5cd642b217ed5fab5c70f938a4841d5c3d2c62a0f0250",
+    "fig3_N2.csv": "dd2718fb440ccf524befd3b83c4fd7fe9a2fdd2c7dd43b4a76553465a5d426e1",
+    "fig3_N3.csv": "186f704b41e29e3f00cb024a221dc0b70d3e04804652dd4d44dc59bbb7b604ca",
+}
+
+
+def test_shared_draw_sweep_matches_the_recorded_sha256s(tmp_path):
+    import hashlib
+
+    out = tmp_path / "out"
+    argv = ["roc", "--preset", "fig3", "--trials", "300", "--seed", "5", "--out", str(out)]
+    assert main(argv) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.iterdir()
+        if path.name != "manifest.json"
+    }
+    assert digests == RECORDED_SWEEP_SHA256
+
+
+class TestValidateChecks:
+    def test_binomial_check_passes_where_one_firing_broke_the_normal_band(self, tmp_path):
+        # at seed 11 one H0 trial in 10000 has Y = 0, more than a normal
+        # band at q = 2**-19 allowed
+        report_path = tmp_path / "report.json"
+        assert main(["validate", "--quick", "--seed", "11", "--out", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["all_passed"] is True
+
+    @pytest.mark.parametrize(
+        "extra", [["--trials", "0"], ["--seed", "-1"], ["--out", "."]]
+    )
+    def test_bad_input_fails_before_any_check(self, tmp_path, monkeypatch, capsys, extra):
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "--quick", "--out", "report.json", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert list(tmp_path.iterdir()) == []

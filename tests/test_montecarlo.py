@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bitsense import montecarlo
 from bitsense.analytic import (
@@ -24,10 +25,12 @@ from bitsense.montecarlo import (
     compare_theory,
     config_to_dict,
     estimate_rates,
+    estimate_sweep,
     exact_h0_rates,
     exact_hybrid_curve,
     seed_for_trial,
     simulate_statistics,
+    simulate_sweep,
 )
 from bitsense.signal import draw_width, factor_covariance, observe
 
@@ -387,3 +390,79 @@ class TestThresholdRules:
         config = replace(config, thresholds=grid)
         tails = [exact_h0_tail(config.params, eta) for eta in grid]
         assert tails == exact_h0_rates(config).tolist()
+
+
+def sweep_config(n, num_sensors, r, sigma_s2, sigma2, trials, master_seed):
+    params = ModelParams(n=n, num_sensors=num_sensors, sigma_s2=sigma_s2, r=r, sigma2=sigma2)
+    return RunConfig(params=params, master_seed=master_seed, trials=trials)
+
+
+#: Sweeps that mix sensor counts, both signs of r, source and noise
+#: powers, trial counts, and seeds and record lengths interleaved.
+sweeps = st.lists(
+    st.builds(
+        sweep_config,
+        n=st.sampled_from([2, 3, 7, 20]),
+        num_sensors=st.integers(1, 4),
+        r=st.sampled_from([-0.45, -0.2, 0.0, 0.3, 0.5]),
+        sigma_s2=st.sampled_from([1.0, 1.7]),
+        sigma2=st.sampled_from([1e-4, 0.09, 2.0]),
+        trials=st.integers(1, 60),
+        master_seed=st.sampled_from([1, 2, 3]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+#: A fixed mixed sweep: one seed group of N = 1..4 with unequal trial
+#: counts and both signs of r, with configs of another seed and another n
+#: between its members.
+MIXED_SWEEP = [
+    sweep_config(20, 1, 0.5, 1.0, 1e-4, 97, 5),
+    sweep_config(20, 3, -0.3, 1.0, 1e-4, 130, 6),
+    sweep_config(20, 4, 0.2, 1.7, 0.09, 41, 5),
+    sweep_config(7, 2, -0.45, 1.0, 2.0, 150, 5),
+    sweep_config(20, 2, 0.5, 1.0, 1e-4, 130, 5),
+]
+
+
+class TestSweepEngine:
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    @settings(max_examples=60, deadline=None)
+    @given(configs=sweeps)
+    def test_sweep_equals_one_run_per_config(self, hypothesis, configs):
+        swept = simulate_sweep(configs, hypothesis, workers=1)
+        alone = [simulate_statistics(c, hypothesis, workers=1) for c in configs]
+        assert [y.tolist() for y in swept] == [y.tolist() for y in alone]
+
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    def test_pool_and_small_chunks_keep_every_config_apart(self, hypothesis, monkeypatch):
+        # 7-row chunks: chunk edges and pool splits fall inside the seed-5
+        # group and between its members' last trials
+        alone = [reference_statistics(c, hypothesis, 0, c.trials) for c in MIXED_SWEEP]
+        widest = max(draw_width(c.params, hypothesis) for c in MIXED_SWEEP)
+        monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 8 * widest * 7)
+        for workers in (1, 2):
+            swept = simulate_sweep(MIXED_SWEEP, hypothesis, workers=workers)
+            assert [y.tolist() for y in swept] == alone
+
+    def test_estimate_sweep_equals_estimate_rates(self):
+        for swept, config in zip(estimate_sweep(MIXED_SWEEP), MIXED_SWEEP):
+            alone = estimate_rates(config)
+            assert swept.source is alone.source is RocSource.EMPIRICAL
+            assert swept.trials_used == alone.trials_used == config.trials
+            assert swept.eta.tolist() == alone.eta.tolist()
+            assert swept.pfa.tolist() == alone.pfa.tolist()
+            assert swept.pd.tolist() == alone.pd.tolist()
+
+    def test_each_seed_draws_each_trial_once(self, monkeypatch):
+        counters = []
+
+        def counting(trial_index, hyp_tag):
+            counters.append((trial_index, hyp_tag))
+            return [0, 0, trial_index, hyp_tag]
+
+        monkeypatch.setattr(montecarlo, "_trial_counter", counting)
+        simulate_sweep(MIXED_SWEEP, Hypothesis.H1, workers=1)
+        # seed 5 draws its 150 trials once, seed 6 its 130
+        assert len(counters) == 150 + 130
