@@ -387,8 +387,7 @@ def run_validation_suite(trials: int, master_seed: int) -> list[dict]:
     for offset in range(5):
         sub = dataclasses.replace(config, master_seed=(master_seed + offset) % 2**64)
         stats = np.sort(montecarlo.simulate_statistics(sub, Hypothesis.H0))
-        rates = montecarlo._tail_rates(stats, sub.thresholds, sub.direction)
-        fired += np.rint(rates * trials).astype(np.int64)
+        fired += montecarlo._firing_counts(stats, sub.thresholds, sub.direction)
     exact = montecarlo.exact_h0_rates(config)
     tails = np.minimum(bdtr(fired, pooled, exact), bdtrc(fired - 1, pooled, exact))
     p = np.minimum(1.0, 2.0 * tails)

@@ -32,7 +32,8 @@ from .model import DetectorDirection, Hypothesis, ModelParams, validate
 #: Each trial consumes draws signal-first, then noise row-major.  So at
 #: one master seed and hypothesis, a config's draws for a trial are a
 #: prefix of any wider config's draws for it, whatever either's n, N or
-#: r, and `simulate_sweep` draws each seed's trials once.
+#: r, and `simulate_sweep` draws them once for all configs that share a
+#: seed and a trial count.
 RNG_SCHEME = (
     "philox4x64-10; key=seedseq(master_seed).state[2]; "
     "counter=[0, 0, trial_index, hypothesis]; draws=signal,noise-rows"
@@ -124,21 +125,19 @@ def seed_for_trial(
 
 def _run_sweep_trials(
     params: list[ModelParams],
-    stops: list[int],
     key: np.ndarray,
     hypothesis: Hypothesis,
     start: int,
     stop: int,
 ) -> list[np.ndarray]:
-    """Statistics of trials [start, min(stop, stops[i])) for each params[i].
+    """Statistics of trials [start, stop) for each params[i].
 
     The key is the Philox key of the one master seed all params share.
     One Philox is reset to each trial's fresh-stream state in turn, which
     draws exactly what `seed_for_trial` would.  A trial's normals fill
-    one row of a chunk buffer, as wide as the widest params that still
-    needs the chunk's first trial; each params then runs the source,
-    quantizer and count over its own prefix of the rows it needs (see
-    RNG_SCHEME).
+    one row of a chunk buffer as wide as the widest params; each params
+    then runs the source, quantizer and count over its own prefix of the
+    rows (see RNG_SCHEME).
     """
     widths = [signal.draw_width(p, hypothesis) for p in params]
     factors = [
@@ -157,25 +156,22 @@ def _run_sweep_trials(
     state["state"]["key"] = key.tolist()
     state["buffer"] = state["buffer"].tolist()
     hyp_tag = hypothesis.value
-    outs = [np.empty(max(0, min(stop, s) - start), dtype=np.int64) for s in stops]
+    outs = [np.empty(stop - start, dtype=np.int64) for _ in params]
     for lo in range(start, stop, chunk):
-        needed = max(w for w, s in zip(widths, stops) if s > lo)
-        rows = draws[: min(chunk, stop - lo), :needed]
+        rows = draws[: min(chunk, stop - lo)]
         for t, row in enumerate(rows, lo):
             state["state"]["counter"] = _trial_counter(t, hyp_tag)
             bitgen.state = state
             rng.standard_normal(out=row)
         for p, width, factor, out in zip(params, widths, factors, outs):
-            k = min(len(rows), start + len(out) - lo)
-            if k > 0:
-                bits = signal.observe_draws(p, hypothesis, rows[:k, :width], factor=factor)
-                out[lo - start : lo - start + k] = detector.agreement_counts(bits)
+            bits = signal.observe_draws(p, hypothesis, rows[:, :width], factor=factor)
+            out[lo - start : lo - start + len(rows)] = detector.agreement_counts(bits)
     return outs
 
 
 def _run_sweep_trials_star(args) -> list[np.ndarray]:
-    params, stops, key, hyp_tag, start, stop = args
-    return _run_sweep_trials(params, stops, key, Hypothesis(hyp_tag), start, stop)
+    params, key, hyp_tag, start, stop = args
+    return _run_sweep_trials(params, key, Hypothesis(hyp_tag), start, stop)
 
 
 def _run_trials(
@@ -186,7 +182,7 @@ def _run_trials(
     stop: int,
 ) -> np.ndarray:
     """Statistics for trials [start, stop) of one params."""
-    return _run_sweep_trials([params], [stop], key, hypothesis, start, stop)[0]
+    return _run_sweep_trials([params], key, hypothesis, start, stop)[0]
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -198,16 +194,16 @@ def _resolve_workers(workers: int | None) -> int:
 def _simulate_group(
     group: list[RunConfig], hypothesis: Hypothesis, workers: int
 ) -> list[np.ndarray]:
-    """Statistics of configs that share one master seed, from one draw pass."""
+    """Statistics of configs that share a master seed and a trial count,
+    from one draw pass."""
     params = [c.params for c in group]
-    stops = [c.trials for c in group]
     key = _philox_key(group[0].master_seed)
-    trials = max(stops)
+    trials = group[0].trials
     if workers == 1 or trials < 2 * workers:
-        return _run_sweep_trials(params, stops, key, hypothesis, 0, trials)
+        return _run_sweep_trials(params, key, hypothesis, 0, trials)
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
     tasks = [
-        (params, stops, key, hypothesis.value, int(a), int(b))
+        (params, key, hypothesis.value, int(a), int(b))
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
     with get_context("fork").Pool(workers) as pool:
@@ -220,11 +216,10 @@ def simulate_sweep(
 ) -> list[np.ndarray]:
     """Per-trial statistics of each config, in input order.
 
-    Configs that share a master seed are drawn in one pass over the
-    group's largest trial count.  A trial's stream depends only on the
-    seed, the hypothesis and the trial index, so each config reads its
-    prefix of every trial's draws and keeps its first `trials` statistics:
-    each result equals a run of that config alone.
+    Configs that share a master seed and a trial count are drawn in one
+    pass.  A trial's stream depends only on the seed, the hypothesis and
+    the trial index, so each config reads its prefix of every trial's
+    draws: each result equals a run of that config alone.
     ``workers`` defaults to the BITSENSE_WORKERS environment variable
     (serial if unset).  The result is identical for any worker count:
     chunks are pure functions of the trial range and are reassembled in
@@ -233,9 +228,9 @@ def simulate_sweep(
     for config in configs:
         config.require_valid()
     workers = _resolve_workers(workers)
-    groups: dict[int, list[int]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for i, config in enumerate(configs):
-        groups.setdefault(config.master_seed, []).append(i)
+        groups.setdefault((config.master_seed, config.trials), []).append(i)
     results: list[np.ndarray] = [None] * len(configs)
     for members in groups.values():
         stats = _simulate_group([configs[i] for i in members], hypothesis, workers)
@@ -252,21 +247,18 @@ def simulate_statistics(
     return simulate_sweep([config], hypothesis, workers)[0]
 
 
-def _tail_rates(
+def _firing_counts(
     sorted_stats: np.ndarray, thresholds: np.ndarray, direction: DetectorDirection
 ) -> np.ndarray:
-    """Fraction of trials the detector fires at, per threshold.
+    """Number of trials the detector fires at, per threshold.
 
     One sorted pass serves every threshold: firing counts are tail counts
     read off with searchsorted, which also makes the curve exactly
     monotone in the threshold.
     """
-    trials = len(sorted_stats)
     if direction is DetectorDirection.GREATER_IS_H1:
-        fired = trials - np.searchsorted(sorted_stats, thresholds, side="left")
-    else:
-        fired = np.searchsorted(sorted_stats, thresholds, side="right")
-    return fired / trials
+        return len(sorted_stats) - np.searchsorted(sorted_stats, thresholds, side="left")
+    return np.searchsorted(sorted_stats, thresholds, side="right")
 
 
 def _sweep_rates(
@@ -274,7 +266,7 @@ def _sweep_rates(
 ) -> list[np.ndarray]:
     """Each config's firing rate per threshold under one hypothesis."""
     return [
-        _tail_rates(np.sort(y), c.thresholds, c.direction)
+        _firing_counts(np.sort(y), c.thresholds, c.direction) / len(y)
         for c, y in zip(configs, simulate_sweep(configs, hypothesis, workers))
     ]
 

@@ -398,7 +398,8 @@ def sweep_config(n, num_sensors, r, sigma_s2, sigma2, trials, master_seed):
 
 
 #: Sweeps that mix sensor counts, both signs of r, source and noise
-#: powers, trial counts, and seeds and record lengths interleaved.
+#: powers, and seeds, trial counts and record lengths interleaved.  Few
+#: seeds and trial counts, so configs often share a draw pass.
 sweeps = st.lists(
     st.builds(
         sweep_config,
@@ -407,21 +408,22 @@ sweeps = st.lists(
         r=st.sampled_from([-0.45, -0.2, 0.0, 0.3, 0.5]),
         sigma_s2=st.sampled_from([1.0, 1.7]),
         sigma2=st.sampled_from([1e-4, 0.09, 2.0]),
-        trials=st.integers(1, 60),
+        trials=st.sampled_from([1, 13, 60]),
         master_seed=st.sampled_from([1, 2, 3]),
     ),
     min_size=1,
     max_size=6,
 )
 
-#: A fixed mixed sweep: one seed group of N = 1..4 with unequal trial
-#: counts and both signs of r, with configs of another seed and another n
-#: between its members.
+#: A fixed mixed sweep: one group of seed 5 and 130 trials with N = 1, 2
+#: and 4 and both signs of r; between its members, configs of another seed,
+#: another n and other trial counts at seed 5, which form groups of their own.
 MIXED_SWEEP = [
-    sweep_config(20, 1, 0.5, 1.0, 1e-4, 97, 5),
+    sweep_config(20, 1, 0.5, 1.0, 1e-4, 130, 5),
     sweep_config(20, 3, -0.3, 1.0, 1e-4, 130, 6),
-    sweep_config(20, 4, 0.2, 1.7, 0.09, 41, 5),
+    sweep_config(20, 4, -0.2, 1.7, 0.09, 130, 5),
     sweep_config(7, 2, -0.45, 1.0, 2.0, 150, 5),
+    sweep_config(20, 2, 0.5, 1.0, 1e-4, 41, 5),
     sweep_config(20, 2, 0.5, 1.0, 1e-4, 130, 5),
 ]
 
@@ -437,8 +439,7 @@ class TestSweepEngine:
 
     @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
     def test_pool_and_small_chunks_keep_every_config_apart(self, hypothesis, monkeypatch):
-        # 7-row chunks: chunk edges and pool splits fall inside the seed-5
-        # group and between its members' last trials
+        # 7-row chunks: chunk edges and pool splits fall inside every group
         alone = [reference_statistics(c, hypothesis, 0, c.trials) for c in MIXED_SWEEP]
         widest = max(draw_width(c.params, hypothesis) for c in MIXED_SWEEP)
         monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 8 * widest * 7)
@@ -464,5 +465,6 @@ class TestSweepEngine:
 
         monkeypatch.setattr(montecarlo, "_trial_counter", counting)
         simulate_sweep(MIXED_SWEEP, Hypothesis.H1, workers=1)
-        # seed 5 draws its 150 trials once, seed 6 its 130
-        assert len(counters) == 150 + 130
+        # each (seed, trials) group draws its trials once: three configs
+        # share the seed-5 130-trial pass
+        assert len(counters) == 130 + 130 + 150 + 41
