@@ -16,12 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import detector
 from .curves import RocCurve, RocSource
 from .model import (
     DetectorDirection,
     Hypothesis,
     ModelParams,
     NonPositiveDefiniteError,
+    _direction_of,
 )
 
 # Orthant quadrature: integration domain is truncated at 10 standard
@@ -194,11 +196,10 @@ def gaussian_tail(eta: float, mean: float, var: float, direction: DetectorDirect
     """P(decide H1) for a Gaussian statistic, honoring the test direction.
 
     A zero variance (paper-literal mode at r = 0) degenerates to a point
-    mass at the mean and the tail becomes a step function.
+    mass at the mean: the tail is the detector's own decision on it.
     """
     if var == 0.0:
-        fires = mean >= eta if direction is DetectorDirection.GREATER_IS_H1 else mean <= eta
-        return 1.0 if fires else 0.0
+        return float(detector.decide(mean, eta, direction))
     sd = math.sqrt(var)
     if direction is DetectorDirection.GREATER_IS_H1:
         return q_function((eta - mean) / sd)
@@ -210,28 +211,17 @@ H1_VARIANCE_NEGATIVE = "negative-variance"
 H1_VARIANCE_ZERO = "zero-variance"
 
 
-def detection_direction(params: ModelParams) -> DetectorDirection:
-    """Test direction: downward for r < 0, otherwise the upward convention.
-
-    ``RunConfig.direction`` delegates here; its docstring says why r = 0
-    takes the upward convention.
-    """
-    if params.r < 0:
-        return DetectorDirection.LESS_IS_H1
-    return DetectorDirection.GREATER_IS_H1
-
-
 def gaussian_rates(params: ModelParams, mode: TheoryMode, thresholds):
     """Gaussian-approximation Pfa and Pd per threshold, plus the H1 flag.
 
     Returns ``(pfa, pd, h1_flag)``: lists of floats in threshold order,
     with ``pd`` None when the mode's H1 variance is negative, and
     ``h1_flag`` one of the ``H1_VARIANCE_*`` constants.  The tails
-    follow :func:`detection_direction`.
+    follow ``RunConfig.direction``: downward for r < 0, else upward.
     """
     m0 = moments(params, Hypothesis.H0, mode)
     m1 = moments(params, Hypothesis.H1, mode)
-    direction = detection_direction(params)
+    direction = _direction_of(params.r)
 
     def tails(m: TheoryMoments) -> list[float]:
         return [gaussian_tail(eta, m.mean, m.variance, direction) for eta in thresholds]

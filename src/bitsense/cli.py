@@ -27,7 +27,7 @@ import numpy as np
 from . import analytic, montecarlo
 from .analytic import TheoryMode
 from .curves import RocCurve
-from .model import Hypothesis, ModelParams
+from .model import Hypothesis, ModelParams, validate
 from .montecarlo import RunConfig, RunManifest
 
 EXIT_OK = 0
@@ -157,10 +157,11 @@ def _build(values: dict, **overrides) -> tuple[str, RunConfig]:
 def expand_preset(
     name: str,
     *,
-    master_seed: int,
+    master_seed: int | None,
     trials: int | None = None,
 ) -> list[tuple[str, RunConfig]]:
-    """Resolve a preset name into labeled RunConfigs."""
+    """Resolve a preset name into labeled RunConfigs; a None seed or trial
+    count keeps the preset's default."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     return [_build(entry, seed=master_seed, trials=trials) for entry in PRESETS[name]]
@@ -214,22 +215,11 @@ def _curve_rows(config: RunConfig, empirical: RocCurve) -> list[dict]:
     CSV) for those rows — the negative variance is never patched over.
     """
     exact = montecarlo.exact_h0_rates(config)
-    rows = []
-    for mode in (TheoryMode.CONSISTENT, TheoryMode.PAPER_LITERAL):
-        pfa, pd, _ = analytic.gaussian_rates(config.params, mode, config.thresholds)
-        rows.extend(
-            {
-                "eta": float(eta),
-                "pfa_emp": float(empirical.pfa[j]),
-                "pd_emp": float(empirical.pd[j]),
-                "pfa_theory": pfa[j],
-                "pd_theory": None if pd is None else pd[j],
-                "pfa_exact": float(exact[j]),
-                "mode": mode.value,
-            }
-            for j, eta in enumerate(config.thresholds)
-        )
-    return rows
+    return [
+        {**row, "mode": mode.value}
+        for mode in (TheoryMode.CONSISTENT, TheoryMode.PAPER_LITERAL)
+        for row in montecarlo._joined_rows(config, empirical, mode, exact)[1]
+    ]
 
 
 def _write_curve_file(path: Path, rows: list[dict], fmt: str) -> None:
@@ -247,10 +237,17 @@ def _resolve_configs(args) -> list[tuple[str, RunConfig]]:
     """Labeled configs of a roc or theory call.
 
     --trials and --seed, when given, go over a preset's and a config
-    file's values alike, before the one check.
+    file's values alike, before the one check.  Each config's model
+    warnings go to stderr, never into an artifact.
     """
-    entries = PRESETS[args.preset] if args.preset else [_read_config_file(args.config)]
-    return [_build(entry, trials=args.trials, seed=args.seed) for entry in entries]
+    if args.preset:
+        labeled = expand_preset(args.preset, master_seed=args.seed, trials=args.trials)
+    else:
+        labeled = [_build(_read_config_file(args.config), trials=args.trials, seed=args.seed)]
+    for label, config in labeled:
+        for text in validate(config.params).warnings:
+            print(f"warning: {label}: {text}", file=sys.stderr)
+    return labeled
 
 
 def cmd_roc(args) -> int:

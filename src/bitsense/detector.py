@@ -1,10 +1,11 @@
 """Agreement-count statistic and the threshold decision rule.
 
-The likelihood ratio of one-bit measurements under this signal model is
-monotone in the number of consecutive-in-time bit agreements, so the
-detector consumes that integer count directly; thresholds are defined on
-the count, never on the raw likelihood ratio (numerically inferior and
-monotone-equivalent).
+The detector thresholds the number Y of consecutive-in-time bit
+agreements, the paper's statistic; thresholds are defined on that
+integer count.  The likelihood ratio is not a function of Y, so this is
+not the likelihood-ratio test: at n = 4, N = 1, r = 0.5, sigma_s2 = 1
+and noise std 1e-2 the sign patterns ++-- and +--- both have Y = 2, but
+H1/H0 likelihood ratios 1.467 and 1.200 (see README, "Model").
 """
 
 from __future__ import annotations

@@ -41,14 +41,17 @@ class DetectorDirection(enum.Enum):
         inflates Var(Y | H1)); ``RunConfig.direction`` runs r = 0 with the
         upward convention.
         """
-        if r > 0:
-            return cls.GREATER_IS_H1
-        if r < 0:
-            return cls.LESS_IS_H1
-        raise ValueError(
-            "r = 0: the sign of r gives no test direction; "
-            "RunConfig.direction uses the upward convention"
-        )
+        if not (r > 0 or r < 0):  # r = 0 and NaN have no sign
+            raise ValueError(
+                "r = 0: the sign of r gives no test direction; "
+                "RunConfig.direction uses the upward convention"
+            )
+        return _direction_of(r)
+
+
+def _direction_of(r: float) -> DetectorDirection:
+    """The one sign-of-r rule: downward for r < 0, else the upward convention."""
+    return DetectorDirection.LESS_IS_H1 if r < 0 else DetectorDirection.GREATER_IS_H1
 
 
 class NonPositiveDefiniteError(ValueError):

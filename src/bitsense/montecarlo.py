@@ -22,7 +22,7 @@ from .analytic import (  # the H1_VARIANCE_* flags are also importable from here
     TheoryMode,
 )
 from .curves import RocCurve, RocSource
-from .model import DetectorDirection, Hypothesis, ModelParams, validate
+from .model import DetectorDirection, Hypothesis, ModelParams, _direction_of, validate
 
 #: Stream derivation contract, recorded in every manifest.  Philox4x64-10
 #: keyed by the master seed (via SeedSequence expansion to 128 bits); the
@@ -47,17 +47,28 @@ ARTIFACT_VERSION = "0.1.0"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One Monte Carlo experiment: model, trial count, seed, thresholds."""
+    """One Monte Carlo experiment: model, trial count, seed, thresholds.
+
+    ``thresholds`` None is the sweep grid of ``params``, and it follows
+    ``params`` through ``dataclasses.replace``; a caller's grid is kept.
+    """
 
     params: ModelParams
     master_seed: int
     trials: int = 20000
     thresholds: np.ndarray | None = None
     theory_mode: TheoryMode = TheoryMode.CONSISTENT
+    #: The params a default grid was built for; `replace` carries it along.
+    _grid_params: ModelParams | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.thresholds is None:
+        built_for = self._grid_params
+        if self.thresholds is None or (
+            built_for not in (None, self.params)
+            and np.array_equal(self.thresholds, detector.sweep_thresholds(built_for))
+        ):
             object.__setattr__(self, "thresholds", detector.sweep_thresholds(self.params))
+            object.__setattr__(self, "_grid_params", self.params)
         else:
             object.__setattr__(
                 self, "thresholds", np.asarray(self.thresholds, dtype=float)
@@ -92,7 +103,7 @@ class RunConfig:
         shared source inflates Var(Y | H1) about N-fold, and the upward
         test sits above the diagonal.
         """
-        return analytic.detection_direction(self.params)
+        return _direction_of(self.params.r)
 
 
 #: Upper bound on the engine's per-chunk normal buffer.  Every array the
@@ -169,11 +180,6 @@ def _run_sweep_trials(
     return outs
 
 
-def _run_sweep_trials_star(args) -> list[np.ndarray]:
-    params, key, hyp_tag, start, stop = args
-    return _run_sweep_trials(params, key, Hypothesis(hyp_tag), start, stop)
-
-
 def _run_trials(
     params: ModelParams,
     key: np.ndarray,
@@ -183,12 +189,6 @@ def _run_trials(
 ) -> np.ndarray:
     """Statistics for trials [start, stop) of one params."""
     return _run_sweep_trials([params], key, hypothesis, start, stop)[0]
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    return max(1, workers)
 
 
 def _simulate_group(
@@ -202,12 +202,9 @@ def _simulate_group(
     if workers == 1 or trials < 2 * workers:
         return _run_sweep_trials(params, key, hypothesis, 0, trials)
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    tasks = [
-        (params, key, hypothesis.value, int(a), int(b))
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    tasks = [(params, key, hypothesis, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
     with get_context("fork").Pool(workers) as pool:
-        parts = pool.map(_run_sweep_trials_star, tasks)
+        parts = pool.starmap(_run_sweep_trials, tasks)
     return [np.concatenate(columns) for columns in zip(*parts)]
 
 
@@ -227,7 +224,7 @@ def simulate_sweep(
     """
     for config in configs:
         config.require_valid()
-    workers = _resolve_workers(workers)
+    workers = max(1, int(os.environ.get(WORKERS_ENV, "1")) if workers is None else workers)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault((config.master_seed, config.trials), []).append(i)
@@ -333,6 +330,24 @@ def exact_hybrid_curve(config: RunConfig, empirical: RocCurve) -> RocCurve:
     )
 
 
+def _joined_rows(
+    config: RunConfig, empirical: RocCurve, mode: TheoryMode, exact: np.ndarray
+) -> tuple[str, list[dict]]:
+    """Empirical, Gaussian-theory and exact H0 rates, one row per threshold.
+
+    Returns the mode's H1 variance flag and rows keyed in the CSV column
+    order, ``pd_theory`` None where that variance is negative.  ``exact``
+    is ``exact_h0_rates(config)``, so a join over both modes computes it once.
+    """
+    pfa, pd, flag = analytic.gaussian_rates(config.params, mode, config.thresholds)
+    keys = ("eta", "pfa_emp", "pd_emp", "pfa_theory", "pd_theory", "pfa_exact")
+    columns = zip(
+        config.thresholds.tolist(), empirical.pfa.tolist(), empirical.pd.tolist(),
+        pfa, pd or [None] * len(pfa), exact.tolist(),
+    )
+    return flag, [dict(zip(keys, row)) for row in columns]
+
+
 @dataclass(frozen=True)
 class ComparisonRow:
     """One threshold's empirical, Gaussian-theory, and exact-oracle rates.
@@ -387,22 +402,8 @@ def compare_theory(
     config.require_valid()
     if empirical is None:
         empirical = estimate_rates(config, workers)
-    pfa, pd, flag = analytic.gaussian_rates(
-        config.params, config.theory_mode, config.thresholds
-    )
-    exact = exact_h0_rates(config)
-    rows = tuple(
-        ComparisonRow(
-            eta=float(eta),
-            pfa_emp=float(empirical.pfa[j]),
-            pfa_theory=pfa[j],
-            pfa_exact=float(exact[j]),
-            pd_emp=float(empirical.pd[j]),
-            pd_theory=None if pd is None else pd[j],
-            h1_flag=flag,
-        )
-        for j, eta in enumerate(config.thresholds)
-    )
+    flag, rows = _joined_rows(config, empirical, config.theory_mode, exact_h0_rates(config))
+    rows = tuple(ComparisonRow(**row, h1_flag=flag) for row in rows)
     p = analytic.agreement_prob(config.params).p
     return TheoryComparison(config=config, agreement_p=p, rows=rows)
 

@@ -13,13 +13,15 @@ from bitsense.analytic import (
     TheoryMode,
     agreement_prob,
     exact_h0_tail,
+    gaussian_tail,
     moments,
     orthant_prob_closed,
     orthant_prob_quadrature,
     q_function,
     theory_roc,
 )
-from bitsense.model import Hypothesis, ModelParams, NonPositiveDefiniteError
+from bitsense.detector import decide
+from bitsense.model import DetectorDirection, Hypothesis, ModelParams, NonPositiveDefiniteError
 
 
 def make_params(n=20, num_sensors=1, sigma_s2=1.0, r=0.5, sigma2=1e-4):
@@ -322,3 +324,10 @@ class TestExactH0Tail:
                 assert exact_h0_tail(params, eta) == expected[eta], (m, eta)
             assert exact_h0_tail(params, -1) == 1.0
             assert exact_h0_tail(params, m + 5) == 0.0
+
+
+@pytest.mark.parametrize("direction", list(DetectorDirection))
+def test_zero_variance_tail_is_the_detector_decision(direction):
+    for eta in (4.5, 5.0, 5.5):
+        assert gaussian_tail(eta, 5.0, 0.0, direction) == float(decide(5.0, eta, direction))
+    assert gaussian_tail(5.0, 5.0, 0.0, direction) == 1.0  # a tie fires either way

@@ -510,3 +510,113 @@ class TestValidateChecks:
         assert captured.err.startswith("error: ")
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert list(tmp_path.iterdir()) == []
+
+
+#: sha256 of `roc --preset fig3 --trials 300 --seed 5 --format json`,
+#: recorded before `roc` and `compare_theory` shared one row builder.  The
+#: paper-mode rows carry `"pd_theory": null`.  Same platform caveats as
+#: RECORDED_SHA256.
+RECORDED_JSON_SHA256 = {
+    "fig3_N1.json": "d2c90014dd9611df5cd9f64e41df1707f0636de12aa0caec40d91f1e31686f5f",
+    "fig3_N2.json": "153610bccbf9a7f6b6a0a68e3e70db7773741500db87cdcf9905bd41b8b8ca62",
+    "fig3_N3.json": "e4508a518ee6de086f70e2d9f6663b60e01dd7f87509aaea9ee7a99bd666c744",
+}
+
+
+def test_roc_json_matches_the_recorded_sha256s(tmp_path):
+    import hashlib
+
+    out = tmp_path / "out"
+    argv = ["roc", "--preset", "fig3", "--trials", "300", "--seed", "5", "--format", "json"]
+    assert main(argv + ["--out", str(out)]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.iterdir()
+        if path.name != "manifest.json"
+    }
+    assert digests == RECORDED_JSON_SHA256
+
+
+def test_roc_json_rows_follow_the_csv_columns_with_one_oracle_per_config(tmp_path, monkeypatch):
+    calls = []
+    exact_h0_rates = bitsense.montecarlo.exact_h0_rates
+
+    def counted(config):
+        calls.append(config)
+        return exact_h0_rates(config)
+
+    monkeypatch.setattr(bitsense.montecarlo, "exact_h0_rates", counted)
+    out = tmp_path / "out"
+    argv = ["roc", "--preset", "fig3", "--trials", "30", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(calls) == 3
+    for config in calls:
+        rows = json.loads((out / f"fig3_N{config.params.num_sensors}.json").read_text())
+        assert {tuple(row) for row in rows} == {tuple(CURVE_HEADER.split(","))}
+        exact = exact_h0_rates(config).tolist()
+        for mode in ("consistent", "paper"):
+            assert [row["pfa_exact"] for row in rows if row["mode"] == mode] == exact
+
+
+@pytest.mark.parametrize("command", ["roc", "theory"])
+def test_model_warnings_go_to_stderr_once_per_config(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "n = 20\nr = 0\ntrials = 40\n", "flat1.cfg")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: flat1: r = 0: no correlation between consecutive samples; "
+        "the agreement detector is uninformative (ROC on the diagonal)\n"
+    )
+    assert "warning:" not in captured.out
+    assert all("warning:" not in path.read_text() for path in out.iterdir())
+
+
+def test_presets_without_warnings_print_none(tmp_path, capsys):
+    assert main(["theory", "--preset", "fig3", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_presets_resolve_through_expand_preset(tmp_path, monkeypatch):
+    import bitsense.cli
+
+    calls = []
+
+    def spy(name, **kwargs):
+        calls.append((name, kwargs))
+        return expand_preset(name, **kwargs)
+
+    monkeypatch.setattr(bitsense.cli, "expand_preset", spy)
+    assert main(["theory", "--preset", "fig3", "--seed", "4", "--out", str(tmp_path)]) == 0
+    assert calls == [("fig3", {"master_seed": 4, "trials": None})]
+    assert [c.master_seed for _, c in expand_preset("fig2", master_seed=None)] == [
+        DEFAULT_MASTER_SEED
+    ] * 3
+
+
+#: The public names `bitsense` exports (submodules aside), recorded before
+#: the direction, tie and join rules were each merged into one
+#: implementation.
+PUBLIC_NAMES = [
+    "AgreementMethod", "AgreementProb", "BidiagonalFactor", "DetectorDirection",
+    "DimensionMismatchError", "Hypothesis", "ModelParams", "NegativeVarianceError",
+    "NonPositiveDefiniteError", "RNG_SCHEME", "RocCurve", "RocSource", "RunConfig",
+    "RunManifest", "TheoryMode", "TheoryMoments", "ValidationReport", "agreement_prob",
+    "compare_theory", "decide", "direction_for", "estimate_rates", "estimate_sweep",
+    "exact_h0_rates", "exact_h0_tail", "exact_hybrid_curve", "factor_covariance",
+    "moments", "observe", "orthant_prob_closed", "orthant_prob_quadrature", "q_function",
+    "quantize", "reconstruct_covariance", "require_valid", "sample_signal",
+    "seed_for_trial", "simulate_statistics", "simulate_sweep", "statistic",
+    "sweep_thresholds", "theory_roc", "validate",
+]
+
+
+def test_public_surface_is_unchanged():
+    import types
+
+    names = [
+        name
+        for name, value in vars(bitsense).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert sorted(names) == PUBLIC_NAMES

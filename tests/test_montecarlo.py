@@ -11,12 +11,13 @@ from bitsense.analytic import (
     NegativeVarianceError,
     TheoryMode,
     exact_h0_tail,
+    gaussian_rates,
     moments,
     theory_roc,
 )
-from bitsense.cli import main, parse_config_file
+from bitsense.cli import _curve_rows, main, parse_config_file
 from bitsense.curves import RocSource
-from bitsense.detector import sweep_thresholds
+from bitsense.detector import direction_for, sweep_thresholds
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams
 from bitsense.montecarlo import (
     H1_VARIANCE_NEGATIVE,
@@ -468,3 +469,94 @@ class TestSweepEngine:
         # each (seed, trials) group draws its trials once: three configs
         # share the seed-5 130-trial pass
         assert len(counters) == 130 + 130 + 150 + 41
+
+
+class TestGridFollowsParams:
+    """A default threshold grid follows params through `replace`; a grid
+    the caller gave is kept."""
+
+    def test_replaced_params_get_their_own_grid(self):
+        config = make_config(n=20, trials=50)
+        wider = replace(config, params=replace(config.params, num_sensors=3))
+        assert len(wider.thresholds) == 59  # (20 - 1) * 3 + 2
+        assert np.array_equal(wider.thresholds, sweep_thresholds(wider.params))
+        assert wider.violations() == []
+
+    def test_default_grid_is_carried_through_other_replacements(self):
+        config = replace(replace(make_config(n=20), master_seed=1), trials=10)
+        wider = replace(config, params=replace(config.params, num_sensors=2))
+        assert np.array_equal(wider.thresholds, sweep_thresholds(wider.params))
+
+    def test_explicit_grid_survives_a_params_change(self):
+        config = make_config(n=20, trials=50, thresholds=[0.5, 3.5, 9.5])
+        moved = replace(config, params=replace(config.params, num_sensors=3))
+        assert moved.thresholds.tolist() == [0.5, 3.5, 9.5]
+
+    def test_replaced_grid_survives_a_later_params_change(self):
+        custom = replace(make_config(n=20, trials=50), thresholds=[1.5, 2.5])
+        moved = replace(custom, params=replace(custom.params, n=30, num_sensors=2))
+        assert moved.thresholds.tolist() == [1.5, 2.5]
+
+    def test_echo_and_repr_are_unchanged(self):
+        one = RunConfig(
+            params=ModelParams(n=3, num_sensors=1, sigma_s2=1.0, r=0.5, sigma2=1e-4),
+            master_seed=3,
+            trials=50,
+        )
+        two = replace(one, params=replace(one.params, num_sensors=2))
+        # recorded from a freshly built N = 2 config before the grid followed params
+        assert json.dumps(config_to_dict(two, label="w")) == (
+            '{"n": 3, "num_sensors": 2, "sigma_s2": 1.0, "r": 0.5, "noise_std": 0.01, '
+            '"sigma2": 0.0001, "trials": 50, "master_seed": 3, "theory_mode": "consistent", '
+            '"thresholds": [-0.5, 0.5, 1.5, 2.5, 3.5, 4.5], "label": "w"}'
+        )
+        assert repr(two) == (
+            "RunConfig(params=ModelParams(n=3, num_sensors=2, sigma_s2=1.0, r=0.5, "
+            "sigma2=0.0001), master_seed=3, trials=50, thresholds=array([-0.5,  0.5,  "
+            "1.5,  2.5,  3.5,  4.5]), theory_mode=<TheoryMode.CONSISTENT: 'consistent'>)"
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.floats(-0.5, 0.5, allow_subnormal=False).filter(lambda r: r != 0),
+    n=st.integers(2, 30),
+    num_sensors=st.integers(1, 3),
+)
+def test_every_direction_reader_follows_the_sign_of_r(r, n, num_sensors):
+    params = ModelParams(n=n, num_sensors=num_sensors, sigma_s2=1.0, r=r, sigma2=1e-4)
+    expected = DetectorDirection.LESS_IS_H1 if r < 0 else DetectorDirection.GREATER_IS_H1
+    # an upward test fires less often as the threshold rises, a downward one more
+    pfa, _, _ = gaussian_rates(params, TheoryMode.CONSISTENT, [-0.5, params.pairs_total + 0.5])
+    theory = DetectorDirection.GREATER_IS_H1 if pfa[0] > pfa[1] else DetectorDirection.LESS_IS_H1
+    assert DetectorDirection.from_correlation(r) is expected
+    assert direction_for(params) is expected
+    assert RunConfig(params=params, master_seed=1).direction is expected
+    assert theory is expected
+
+
+@pytest.mark.parametrize("text", ["n = 20\nr = 0.5\n", "n = 12\nnum_sensors = 3\nr = -0.3\n"])
+def test_compare_theory_rows_are_the_roc_rows_of_their_mode(tmp_path, text):
+    cfg = tmp_path / "join.cfg"
+    cfg.write_text(text + "trials = 40\n")
+    _, config = parse_config_file(cfg)
+    empirical = estimate_rates(config)
+    rows = _curve_rows(config, empirical)
+    exact = exact_h0_rates(config).tolist()
+    for mode in TheoryMode:
+        report = compare_theory(replace(config, theory_mode=mode), empirical=empirical)
+        block = [row for row in rows if row["mode"] == mode.value]
+        assert [row["pfa_exact"] for row in block] == exact
+        assert [
+            {key: value for key, value in row.items() if key != "mode"} for row in block
+        ] == [
+            {
+                "eta": r.eta,
+                "pfa_emp": r.pfa_emp,
+                "pd_emp": r.pd_emp,
+                "pfa_theory": r.pfa_theory,
+                "pd_theory": r.pd_theory,
+                "pfa_exact": r.pfa_exact,
+            }
+            for r in report.rows
+        ]
