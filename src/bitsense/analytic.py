@@ -119,8 +119,9 @@ def orthant_prob_quadrature(c11: float, c12: float, c22: float) -> float:
     Adaptive quadrature on [0, 10] refines until the error estimate is
     below 1e-9; the truncated tail is < 8e-24.  This path never touches
     the arcsine identity, so it is a genuine oracle for the closed form.
-    scipy is imported here, its only use, so that importing bitsense
-    and building the CLI stay fast.
+    scipy is imported here, where it is used, and not at module level,
+    so that importing bitsense and building the CLI stay scipy-free and
+    fast; ``validate``'s H0 check imports ``scipy.special`` the same way.
     """
     from scipy import integrate, special
 
@@ -293,14 +294,12 @@ def exact_h0_tail(params: ModelParams, eta: float) -> float:
     Under H0 all bits are iid fair coins, so the (n-1)N consecutive-pair
     agreement indicators are iid Bernoulli(1/2) and the count is exactly
     binomial.  The integer count reaches a threshold eta at ceil(eta),
-    the rule ``montecarlo.exact_h0_rates`` uses.  Computed in integer
-    arithmetic and rounded once at the end, so the value is correct to
-    the last float digit.
+    read by `detector.firing_mass` as in ``montecarlo.exact_h0_rates``.
+    Computed in integer arithmetic and rounded once at the end, so the
+    value is correct to the last float digit.  eta = -inf gives 1.0 and
+    +inf gives 0.0; a NaN eta raises ValueError.
     """
-    m = params.pairs_total
-    eta = math.ceil(eta)
-    if eta <= 0:
-        return 1.0
-    if eta > m:
-        return 0.0
-    return float(_exact_h0_tail_table(m)[eta])
+    if math.isnan(eta):
+        raise ValueError("eta is NaN: the tail has no threshold to read")
+    table = _exact_h0_tail_table(params.pairs_total)
+    return float(detector.firing_mass(table, [eta], DetectorDirection.GREATER_IS_H1)[0])

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic, montecarlo
+from . import analytic, detector, montecarlo
 from .analytic import TheoryMode
 from .curves import RocCurve
 from .model import Hypothesis, ModelParams, validate
@@ -116,14 +116,6 @@ _CONFIG_DEFAULTS = dict(
 )
 
 
-def _checked(config: RunConfig) -> RunConfig:
-    """The config itself, or a ConfigError listing every violation."""
-    problems = config.violations()
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return config
-
-
 def _build(values: dict, **overrides) -> tuple[str, RunConfig]:
     """The only way user values become a labeled, checked RunConfig.
 
@@ -151,7 +143,10 @@ def _build(values: dict, **overrides) -> tuple[str, RunConfig]:
         thresholds=v["thresholds"],
         theory_mode=v["mode"],
     )
-    return label, _checked(config)
+    problems = config.violations()
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return label, config
 
 
 def expand_preset(
@@ -380,11 +375,13 @@ def run_validation_suite(trials: int, master_seed: int) -> list[dict]:
 
     level = math.erfc(3.0 * math.sqrt(2.5))
     pooled = 5 * trials
-    fired = np.zeros(len(config.thresholds), dtype=np.int64)
+    m = config.params.pairs_total
+    upper = np.zeros(m + 2, dtype=np.int64)
     for offset in range(5):
         sub = dataclasses.replace(config, master_seed=(master_seed + offset) % 2**64)
-        stats = np.sort(montecarlo.simulate_statistics(sub, Hypothesis.H0))
-        fired += montecarlo._firing_counts(stats, sub.thresholds, sub.direction)
+        stats = montecarlo.simulate_statistics(sub, Hypothesis.H0)
+        upper += detector.upper_counts(stats, m)
+    fired = detector.firing_mass(upper, config.thresholds, config.direction)
     exact = montecarlo.exact_h0_rates(config)
     tails = np.minimum(bdtr(fired, pooled, exact), bdtrc(fired - 1, pooled, exact))
     p = np.minimum(1.0, 2.0 * tails)

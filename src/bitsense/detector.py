@@ -55,6 +55,26 @@ def decide(y_count: int, eta: float, direction: DetectorDirection) -> int:
     return int(y_count <= eta)
 
 
+def upper_counts(counts: np.ndarray, m: int) -> np.ndarray:
+    """Number of counts >= k for k = 0..m+1, for integer counts in 0..m."""
+    return np.cumsum(np.bincount(counts, minlength=m + 2)[::-1])[::-1]
+
+
+def firing_mass(upper: np.ndarray, thresholds, direction: DetectorDirection) -> np.ndarray:
+    """Mass of the integer counts `decide` fires at, per threshold.
+
+    ``upper[k]`` is the mass of counts >= k for k = 0..m+1, so ``upper[0]``
+    is the total and ``upper[m+1]`` is 0.  The upward test fires at
+    Y >= ceil(eta); the downward test fires at Y <= floor(eta), the total
+    less the mass at Y >= floor(eta) + 1.  Thresholds outside [0, m+1]
+    read the ends of the table.
+    """
+    last = len(upper) - 1
+    if direction is DetectorDirection.GREATER_IS_H1:
+        return upper[np.clip(np.ceil(thresholds), 0, last).astype(np.intp)]
+    return upper[0] - upper[np.clip(np.floor(thresholds) + 1, 0, last).astype(np.intp)]
+
+
 def direction_for(params: ModelParams) -> DetectorDirection:
     """Test direction for a parameter set; r = 0 is a construction error."""
     return DetectorDirection.from_correlation(params.r)

@@ -36,12 +36,15 @@ class DetectorDirection(enum.Enum):
     def from_correlation(cls, r: float) -> "DetectorDirection":
         """Direction implied by the sign of the lag-1 covariance.
 
-        ``r = 0`` is rejected because its sign gives no direction.  The
-        count is not uninformative there for N >= 2 (the shared source
-        inflates Var(Y | H1)); ``RunConfig.direction`` runs r = 0 with the
-        upward convention.
+        ``r = 0`` and NaN are rejected, each with its own message, because
+        neither has a sign to give a direction.  The count is not
+        uninformative at r = 0 for N >= 2 (the shared source inflates
+        Var(Y | H1)); ``RunConfig.direction`` runs r = 0 with the upward
+        convention.
         """
-        if not (r > 0 or r < 0):  # r = 0 and NaN have no sign
+        if math.isnan(r):
+            raise ValueError("r is NaN: a NaN correlation has no sign, so no test direction")
+        if r == 0:
             raise ValueError(
                 "r = 0: the sign of r gives no test direction; "
                 "RunConfig.direction uses the upward convention"

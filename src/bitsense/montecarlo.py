@@ -9,7 +9,7 @@ Results are bit-identical serial and parallel.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
 
 import numpy as np
@@ -244,26 +244,15 @@ def simulate_statistics(
     return simulate_sweep([config], hypothesis, workers)[0]
 
 
-def _firing_counts(
-    sorted_stats: np.ndarray, thresholds: np.ndarray, direction: DetectorDirection
-) -> np.ndarray:
-    """Number of trials the detector fires at, per threshold.
-
-    One sorted pass serves every threshold: firing counts are tail counts
-    read off with searchsorted, which also makes the curve exactly
-    monotone in the threshold.
-    """
-    if direction is DetectorDirection.GREATER_IS_H1:
-        return len(sorted_stats) - np.searchsorted(sorted_stats, thresholds, side="left")
-    return np.searchsorted(sorted_stats, thresholds, side="right")
-
-
 def _sweep_rates(
     configs: list[RunConfig], hypothesis: Hypothesis, workers: int | None
 ) -> list[np.ndarray]:
     """Each config's firing rate per threshold under one hypothesis."""
     return [
-        _firing_counts(np.sort(y), c.thresholds, c.direction) / len(y)
+        detector.firing_mass(
+            detector.upper_counts(y, c.params.pairs_total), c.thresholds, c.direction
+        )
+        / len(y)
         for c, y in zip(configs, simulate_sweep(configs, hypothesis, workers))
     ]
 
@@ -308,15 +297,8 @@ def exact_h0_rates(config: RunConfig) -> np.ndarray:
     probability below about 1e-16 to cancellation: small lower-tail
     values lose digits or flush to 0.
     """
-    m = config.params.pairs_total
-    tail = analytic._exact_h0_tail_table(m)
-
-    def upper(k: np.ndarray) -> np.ndarray:
-        return tail[np.clip(k, 0, m + 1).astype(np.intp)]
-
-    if config.direction is DetectorDirection.GREATER_IS_H1:
-        return upper(np.ceil(config.thresholds))
-    return 1.0 - upper(np.floor(config.thresholds) + 1)
+    tail = analytic._exact_h0_tail_table(config.params.pairs_total)
+    return detector.firing_mass(tail, config.thresholds, config.direction)
 
 
 def exact_hybrid_curve(config: RunConfig, empirical: RocCurve) -> RocCurve:
@@ -421,15 +403,7 @@ class RunManifest:
     outputs: tuple[dict, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "artifact_version": self.artifact_version,
-            "rng_scheme": self.rng_scheme,
-            "noise_interpretation": self.noise_interpretation,
-            "configs": list(self.configs),
-            "per_hypothesis_trials": dict(self.per_hypothesis_trials),
-            "wall_clock_s": self.wall_clock_s,
-            "outputs": list(self.outputs),
-        }
+        return asdict(self)
 
 
 def config_to_dict(config: RunConfig, label: str | None = None) -> dict:

@@ -325,6 +325,14 @@ class TestExactH0Tail:
             assert exact_h0_tail(params, -1) == 1.0
             assert exact_h0_tail(params, m + 5) == 0.0
 
+    def test_nan_threshold_is_an_error(self):
+        with pytest.raises(ValueError):
+            exact_h0_tail(make_params(), float("nan"))
+
+    def test_infinite_thresholds_read_the_ends_of_the_table(self):
+        assert exact_h0_tail(make_params(), -math.inf) == 1.0
+        assert exact_h0_tail(make_params(), math.inf) == 0.0
+
 
 @pytest.mark.parametrize("direction", list(DetectorDirection))
 def test_zero_variance_tail_is_the_detector_decision(direction):

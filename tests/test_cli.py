@@ -537,6 +537,35 @@ def test_roc_json_matches_the_recorded_sha256s(tmp_path):
     assert digests == RECORDED_JSON_SHA256
 
 
+#: sha256 of the `validate --quick --seed 11` report and of the
+#: `roc --preset fig3 --trials 300 --seed 5` manifest with its wall-clock
+#: time masked, recorded before the empirical rates, the exact H0 oracle
+#: and validate's H0 check read one count-threshold rule.  The manifest
+#: carries each CSV's sha256.  Same platform caveats as RECORDED_SHA256.
+RECORDED_VALIDATE_SHA256 = "76a801e3b1a8aad6266a3954ecb07eb7147953b6dbb8daad7d0814a4d92b074b"
+RECORDED_MASKED_MANIFEST_SHA256 = "5b1e5ee97aa6ed11f11f1e086487679aa66f963f203e13715da8d15fcdc5b8df"
+
+
+def test_validate_report_matches_the_recorded_sha256(tmp_path):
+    import hashlib
+
+    report = tmp_path / "report.json"
+    assert main(["validate", "--quick", "--seed", "11", "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == RECORDED_VALIDATE_SHA256
+
+
+def test_roc_manifest_matches_the_recorded_sha256_but_for_its_wall_clock(tmp_path):
+    import hashlib
+    import re
+
+    out = tmp_path / "out"
+    argv = ["roc", "--preset", "fig3", "--trials", "300", "--seed", "5", "--out", str(out)]
+    assert main(argv) == 0
+    text = (out / "manifest.json").read_text()
+    masked = re.sub(r'"wall_clock_s": [^,\n]+', '"wall_clock_s": null', text)
+    assert hashlib.sha256(masked.encode()).hexdigest() == RECORDED_MASKED_MANIFEST_SHA256
+
+
 def test_roc_json_rows_follow_the_csv_columns_with_one_oracle_per_config(tmp_path, monkeypatch):
     calls = []
     exact_h0_rates = bitsense.montecarlo.exact_h0_rates

@@ -10,8 +10,10 @@ from bitsense.detector import (
     agreement_counts,
     decide,
     direction_for,
+    firing_mass,
     statistic,
     sweep_thresholds,
+    upper_counts,
 )
 from bitsense.model import DetectorDirection, ModelParams
 
@@ -118,6 +120,27 @@ class TestSweepThresholds:
         assert np.all(np.diff(grid) == 1.0)
         assert grid[0] == -0.5
         assert grid[-1] == 8.5
+
+
+@given(data=st.data(), m=st.integers(0, 30))
+def test_firing_mass_counts_the_trials_decide_fires_at(data, m):
+    counts = data.draw(hnp.arrays(np.int64, st.integers(1, 40), elements=st.integers(0, m)))
+    thresholds = data.draw(
+        st.lists(
+            st.one_of(
+                st.integers(-3, m + 3).map(float),  # ties, and counts beyond both ends
+                st.integers(-3, m + 3).map(lambda k: k + 0.5),
+                st.floats(-1e6, 1e6),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    upper = upper_counts(counts, m)
+    assert len(upper) == m + 2 and upper[0] == len(counts) and upper[-1] == 0
+    for direction in (GREATER, LESS):
+        expected = [sum(decide(y, eta, direction) for y in counts) for eta in thresholds]
+        assert firing_mass(upper, thresholds, direction).tolist() == expected
 
 
 def test_direction_for_requires_nonzero_r():

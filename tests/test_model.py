@@ -94,6 +94,17 @@ def test_direction_from_correlation():
         DetectorDirection.from_correlation(0.0)
 
 
+def test_direction_errors_name_their_cause():
+    with pytest.raises(ValueError, match="^r is NaN"):
+        DetectorDirection.from_correlation(float("nan"))
+    with pytest.raises(ValueError) as zero:
+        DetectorDirection.from_correlation(0.0)
+    assert str(zero.value) == (
+        "r = 0: the sign of r gives no test direction; "
+        "RunConfig.direction uses the upward convention"
+    )
+
+
 def test_hypothesis_tags():
     assert Hypothesis.H0.value == 0
     assert Hypothesis.H1.value == 1
