@@ -216,8 +216,8 @@ def gaussian_rates(params: ModelParams, mode: TheoryMode, thresholds):
     """Gaussian-approximation Pfa and Pd per threshold, plus the H1 flag.
 
     Returns ``(pfa, pd, h1_flag)``: lists of floats in threshold order,
-    with ``pd`` None when the mode's H1 variance is negative, and
-    ``h1_flag`` one of the ``H1_VARIANCE_*`` constants.  The tails
+    with every ``pd`` entry None when the mode's H1 variance is negative,
+    and ``h1_flag`` one of the ``H1_VARIANCE_*`` constants.  The tails
     follow ``RunConfig.direction``: downward for r < 0, else upward.
     """
     m0 = moments(params, Hypothesis.H0, mode)
@@ -228,7 +228,7 @@ def gaussian_rates(params: ModelParams, mode: TheoryMode, thresholds):
         return [gaussian_tail(eta, m.mean, m.variance, direction) for eta in thresholds]
 
     if m1.variance < 0:
-        return tails(m0), None, H1_VARIANCE_NEGATIVE
+        return tails(m0), [None] * len(thresholds), H1_VARIANCE_NEGATIVE
     flag = H1_VARIANCE_ZERO if m1.variance == 0 else H1_VARIANCE_OK
     return tails(m0), tails(m1), flag
 
@@ -249,15 +249,15 @@ def theory_roc(
     and the empirical ROC lies above the diagonal.  Raises
     :class:`NegativeVarianceError` in paper-literal mode when p > 1/2.
     """
-    variance = moments(params, Hypothesis.H1, mode).variance
-    if variance < 0:
+    thresholds = np.asarray(thresholds, dtype=float)
+    pfa, pd, flag = gaussian_rates(params, mode, thresholds)
+    if flag == H1_VARIANCE_NEGATIVE:
+        variance = moments(params, Hypothesis.H1, mode).variance
         p = agreement_prob(params).p
         raise NegativeVarianceError(
             f"H1 variance {variance:.6g} < 0 in paper-literal mode "
             f"(p = {p:.6g} > 1/2); use TheoryMode.CONSISTENT"
         )
-    thresholds = np.asarray(thresholds, dtype=float)
-    pfa, pd, _ = gaussian_rates(params, mode, thresholds)
     source = (
         RocSource.THEORY_PAPER_LITERAL
         if mode is TheoryMode.PAPER_LITERAL

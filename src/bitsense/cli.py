@@ -74,10 +74,23 @@ def _fmt(x) -> str:
     return f"{float(x):.9g}"
 
 
-def _csv_lines(header: str, rows: list[dict]) -> list[str]:
-    """The header, then one line per row with the header's columns in order."""
+def _csv_text(header: str, rows: list[dict], comments=()) -> str:
+    """Comment lines, the header, then one line per row in the header's column order."""
     columns = header.split(",")
-    return [header] + [",".join(_fmt(row[k]) for k in columns) for row in rows]
+    lines = [*comments, header, *(",".join(_fmt(row[k]) for k in columns) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write(path: Path, text: str) -> dict:
+    """Write ``text`` byte for byte, print ``wrote <path>``, return its manifest entry."""
+    data = text.encode()
+    path.write_bytes(data)
+    print(f"wrote {path}")
+    return {"file": path.name, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _theory_mode(text: str) -> TheoryMode:
@@ -109,9 +122,9 @@ _CONFIG_DEFAULTS = dict(
     num_sensors=1,
     sigma_s2=1.0,
     noise_std=1e-2,
-    trials=20000,
+    trials=RunConfig.trials,
     seed=DEFAULT_MASTER_SEED,
-    mode=TheoryMode.CONSISTENT,
+    mode=RunConfig.theory_mode,
     thresholds=None,
 )
 
@@ -169,7 +182,7 @@ def _read_config_file(path) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    values = {"label": Path(path).stem}
+    values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -181,6 +194,8 @@ def _read_config_file(path) -> dict:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r}; known keys: {sorted(_CONFIG_KEYS)}"
             )
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:
@@ -188,6 +203,7 @@ def _read_config_file(path) -> dict:
     for required in ("n", "r"):
         if required not in values:
             raise ConfigError(f"{path}: missing required key {required!r}")
+    values.setdefault("label", Path(path).stem)
     return values
 
 
@@ -215,17 +231,6 @@ def _curve_rows(config: RunConfig, empirical: RocCurve) -> list[dict]:
         for mode in (TheoryMode.CONSISTENT, TheoryMode.PAPER_LITERAL)
         for row in montecarlo._joined_rows(config, empirical, mode, exact)[1]
     ]
-
-
-def _write_curve_file(path: Path, rows: list[dict], fmt: str) -> None:
-    if fmt == "csv":
-        path.write_text("\n".join(_csv_lines(CURVE_HEADER, rows)) + "\n")
-    else:
-        path.write_text(json.dumps(rows, indent=2) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _resolve_configs(args) -> list[tuple[str, RunConfig]]:
@@ -257,11 +262,9 @@ def cmd_roc(args) -> int:
     config_dicts = []
     for (label, config), empirical in zip(labeled, curves):
         rows = _curve_rows(config, empirical)
-        path = out_dir / f"{label}.{args.format}"
-        _write_curve_file(path, rows, args.format)
-        outputs.append({"file": path.name, "sha256": _sha256(path)})
+        text = _csv_text(CURVE_HEADER, rows) if args.format == "csv" else _json_text(rows)
+        outputs.append(_write(out_dir / f"{label}.{args.format}", text))
         config_dicts.append(montecarlo.config_to_dict(config, label=label))
-        print(f"wrote {path}")
 
     trials_total = sum(c["trials"] for c in config_dicts)
     manifest = RunManifest(
@@ -273,9 +276,7 @@ def cmd_roc(args) -> int:
         wall_clock_s=round(time.perf_counter() - started, 3),
         outputs=tuple(outputs),
     )
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2) + "\n")
-    print(f"wrote {manifest_path}")
+    _write(out_dir / "manifest.json", _json_text(manifest.to_dict()))
     return EXIT_OK
 
 
@@ -287,18 +288,12 @@ def cmd_theory(args) -> int:
     for label, config in labeled:
         params = config.params
         agreement = analytic.agreement_prob(params)
-        scalars = {
-            "p": agreement.p,
-            "rho": agreement.rho,
-        }
+        scalars = {"p": agreement.p, "rho": agreement.rho}
         moment_block = {}
         for mode in TheoryMode:
             for hyp in Hypothesis:
                 m = analytic.moments(params, hyp, mode)
-                moment_block[f"{hyp.name}_{mode.value}"] = {
-                    "mean": m.mean,
-                    "variance": m.variance,
-                }
+                moment_block[f"{hyp.name}_{mode.value}"] = {"mean": m.mean, "variance": m.variance}
         table = []
         for mode in TheoryMode:
             pfa, pd, flag = analytic.gaussian_rates(params, mode, config.thresholds)
@@ -306,14 +301,13 @@ def cmd_theory(args) -> int:
                 {
                     "eta": float(eta),
                     "mode": mode.value,
-                    "pfa_theory": pfa[j],
-                    "pd_theory": None if pd is None else pd[j],
+                    "pfa_theory": a,
+                    "pd_theory": b,
                     "h1_variance_flag": _THEORY_FLAGS[flag],
                 }
-                for j, eta in enumerate(config.thresholds)
+                for eta, a, b in zip(config.thresholds, pfa, pd)
             )
 
-        path = out_dir / f"{label}_theory.{args.format}"
         if args.format == "json":
             payload = {
                 "params": montecarlo.config_to_dict(config, label=label),
@@ -321,17 +315,15 @@ def cmd_theory(args) -> int:
                 "moments": moment_block,
                 "rows": table,
             }
-            path.write_text(json.dumps(payload, indent=2) + "\n")
+            text = _json_text(payload)
         else:
-            lines = [f"# p = {_fmt(scalars['p'])}", f"# rho = {_fmt(scalars['rho'])}"]
-            for name, m in moment_block.items():
-                lines.append(
-                    f"# moments {name}: mean = {_fmt(m['mean'])}, "
-                    f"variance = {_fmt(m['variance'])}"
-                )
-            lines += _csv_lines(THEORY_HEADER, table)
-            path.write_text("\n".join(lines) + "\n")
-        print(f"wrote {path}")
+            comments = [f"# {name} = {_fmt(value)}" for name, value in scalars.items()]
+            comments += [
+                f"# moments {name}: mean = {_fmt(m['mean'])}, variance = {_fmt(m['variance'])}"
+                for name, m in moment_block.items()
+            ]
+            text = _csv_text(THEORY_HEADER, table, comments)
+        _write(out_dir / f"{label}_theory.{args.format}", text)
     return EXIT_OK
 
 
@@ -427,10 +419,8 @@ def cmd_validate(args) -> int:
         "master_seed": args.seed,
         "checks": checks,
     }
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out_path}")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    _write(out_path, _json_text(report))
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
@@ -471,8 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        montecarlo._workers_from_env()  # a bad value fails before any directory or draw
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -41,10 +41,6 @@ class RocCurve:
     def __len__(self) -> int:
         return len(self.eta)
 
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.eta.tolist(), self.pfa.tolist(), self.pd.tolist()))
-
     def index_nearest_pfa(self, target: float) -> int:
         """Index of the operating point whose pfa is closest to ``target``."""
         return int(np.argmin(np.abs(self.pfa - target)))

@@ -208,6 +208,15 @@ def _simulate_group(
     return [np.concatenate(columns) for columns in zip(*parts)]
 
 
+def _workers_from_env() -> int:
+    """BITSENSE_WORKERS as a worker count; unset, 0 or negative is serial."""
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+
+
 def simulate_sweep(
     configs: list[RunConfig], hypothesis: Hypothesis, workers: int | None = None
 ) -> list[np.ndarray]:
@@ -224,7 +233,7 @@ def simulate_sweep(
     """
     for config in configs:
         config.require_valid()
-    workers = max(1, int(os.environ.get(WORKERS_ENV, "1")) if workers is None else workers)
+    workers = _workers_from_env() if workers is None else workers
     groups: dict[tuple[int, int], list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault((config.master_seed, config.trials), []).append(i)
@@ -325,7 +334,7 @@ def _joined_rows(
     keys = ("eta", "pfa_emp", "pd_emp", "pfa_theory", "pd_theory", "pfa_exact")
     columns = zip(
         config.thresholds.tolist(), empirical.pfa.tolist(), empirical.pd.tolist(),
-        pfa, pd or [None] * len(pfa), exact.tolist(),
+        pfa, pd, exact.tolist(),
     )
     return flag, [dict(zip(keys, row)) for row in columns]
 

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bitsense.analytic import (
+    H1_VARIANCE_NEGATIVE,
     AgreementMethod,
     _exact_h0_tail_table,
     NegativeVarianceError,
     TheoryMode,
     agreement_prob,
     exact_h0_tail,
+    gaussian_rates,
     gaussian_tail,
     moments,
     orthant_prob_closed,
@@ -339,3 +341,20 @@ def test_zero_variance_tail_is_the_detector_decision(direction):
     for eta in (4.5, 5.0, 5.5):
         assert gaussian_tail(eta, 5.0, 0.0, direction) == float(decide(5.0, eta, direction))
     assert gaussian_tail(5.0, 5.0, 0.0, direction) == 1.0  # a tie fires either way
+
+
+def test_negative_paper_variance_gives_a_none_pd_per_threshold():
+    pfa, pd, flag = gaussian_rates(make_params(), TheoryMode.PAPER_LITERAL, [8.5, 9.5, 10.5])
+    assert flag == H1_VARIANCE_NEGATIVE
+    assert pd == [None, None, None]
+    assert len(pfa) == 3 and pfa[1] == 0.5
+
+
+def test_negative_variance_message_is_unchanged():
+    # recorded before gaussian_rates became the one negative-variance rule
+    with pytest.raises(NegativeVarianceError) as info:
+        theory_roc(make_params(), TheoryMode.PAPER_LITERAL, [9.5, 10.5])
+    assert str(info.value) == (
+        "H1 variance -8.44328 < 0 in paper-literal mode (p = 0.666648 > 1/2); "
+        "use TheoryMode.CONSISTENT"
+    )

@@ -560,3 +560,19 @@ def test_compare_theory_rows_are_the_roc_rows_of_their_mode(tmp_path, text):
             }
             for r in report.rows
         ]
+
+
+@pytest.mark.parametrize("value", ["", "abc", "1.5"])
+def test_a_bad_workers_env_var_names_itself(monkeypatch, value):
+    monkeypatch.setenv("BITSENSE_WORKERS", value)
+    with pytest.raises(ValueError) as info:
+        simulate_statistics(make_config(trials=10), Hypothesis.H0)
+    assert str(info.value) == f"BITSENSE_WORKERS must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_zero_or_negative_workers_env_var_runs_serially(monkeypatch, value):
+    config = make_config(trials=200)
+    serial = simulate_statistics(config, Hypothesis.H1, workers=1)
+    monkeypatch.setenv("BITSENSE_WORKERS", value)
+    assert np.array_equal(simulate_statistics(config, Hypothesis.H1), serial)
