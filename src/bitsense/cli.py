@@ -250,8 +250,17 @@ def _resolve_configs(args) -> list[tuple[str, RunConfig]]:
     return labeled
 
 
+def _check_workers_env() -> None:
+    """A bad BITSENSE_WORKERS fails before any directory is made or trial drawn."""
+    try:
+        montecarlo._workers_from_env()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_roc(args) -> int:
     started = time.perf_counter()
+    _check_workers_env()
     labeled = _resolve_configs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -288,12 +297,18 @@ def cmd_theory(args) -> int:
     for label, config in labeled:
         params = config.params
         agreement = analytic.agreement_prob(params)
-        scalars = {"p": agreement.p, "rho": agreement.rho}
+        scalars = {
+            "p": agreement.p,
+            "rho": agreement.rho,
+        }
         moment_block = {}
         for mode in TheoryMode:
             for hyp in Hypothesis:
                 m = analytic.moments(params, hyp, mode)
-                moment_block[f"{hyp.name}_{mode.value}"] = {"mean": m.mean, "variance": m.variance}
+                moment_block[f"{hyp.name}_{mode.value}"] = {
+                    "mean": m.mean,
+                    "variance": m.variance,
+                }
         table = []
         for mode in TheoryMode:
             pfa, pd, flag = analytic.gaussian_rates(params, mode, config.thresholds)
@@ -405,6 +420,7 @@ def run_validation_suite(trials: int, master_seed: int) -> list[dict]:
 
 
 def cmd_validate(args) -> int:
+    _check_workers_env()
     trials = 2000 if args.quick else 20000
     if args.trials is not None:
         trials = args.trials
@@ -461,12 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        montecarlo._workers_from_env()  # a bad value fails before any directory or draw
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -209,10 +209,10 @@ def _simulate_group(
 
 
 def _workers_from_env() -> int:
-    """BITSENSE_WORKERS as a worker count; unset, 0 or negative is serial."""
+    """BITSENSE_WORKERS as an integer, 1 if unset; anything else raises."""
     text = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(text))
+        return int(text)
     except ValueError:
         raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
 
@@ -227,13 +227,13 @@ def simulate_sweep(
     the trial index, so each config reads its prefix of every trial's
     draws: each result equals a run of that config alone.
     ``workers`` defaults to the BITSENSE_WORKERS environment variable
-    (serial if unset).  The result is identical for any worker count:
+    (serial if unset); a count below 1, from either source, is serial.  The result is identical for any worker count:
     chunks are pure functions of the trial range and are reassembled in
     order.
     """
     for config in configs:
         config.require_valid()
-    workers = _workers_from_env() if workers is None else workers
+    workers = max(1, _workers_from_env() if workers is None else workers)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault((config.master_seed, config.trials), []).append(i)

@@ -679,6 +679,12 @@ def test_a_bad_workers_env_var_fails_before_any_output(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_theory_ignores_the_workers_env_var(tmp_path, monkeypatch):
+    monkeypatch.setenv("BITSENSE_WORKERS", "abc")
+    assert main(["theory", "--preset", "fig2", "--out", str(tmp_path / "t")]) == 0
+    assert len(list((tmp_path / "t").iterdir())) == 3
+
+
 def test_json_manifest_checksums_match_files(tmp_path):
     import hashlib
 

@@ -570,6 +570,16 @@ def test_a_bad_workers_env_var_names_itself(monkeypatch, value):
     assert str(info.value) == f"BITSENSE_WORKERS must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_an_explicit_worker_count_below_one_runs_serially(workers):
+    config = make_config(trials=200)
+    serial = simulate_statistics(config, Hypothesis.H1, workers=1)
+    assert np.array_equal(simulate_statistics(config, Hypothesis.H1, workers=workers), serial)
+    curve, serial_curve = estimate_rates(config, workers), estimate_rates(config, 1)
+    assert np.array_equal(curve.pfa, serial_curve.pfa)
+    assert np.array_equal(curve.pd, serial_curve.pd)
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_zero_or_negative_workers_env_var_runs_serially(monkeypatch, value):
     config = make_config(trials=200)
