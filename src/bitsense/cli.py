@@ -179,8 +179,8 @@ def _read_config_file(path) -> dict:
     """A config file's converted values in config-file keys; the label
     defaults to the file's stem."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -262,6 +262,8 @@ def cmd_roc(args) -> int:
     started = time.perf_counter()
     _check_workers_env()
     labeled = _resolve_configs(args)
+    if args.format == "json" and any(label == "manifest" for label, _ in labeled):
+        raise ConfigError("label 'manifest' would overwrite manifest.json; choose another label")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

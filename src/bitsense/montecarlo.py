@@ -180,34 +180,6 @@ def _run_sweep_trials(
     return outs
 
 
-def _run_trials(
-    params: ModelParams,
-    key: np.ndarray,
-    hypothesis: Hypothesis,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """Statistics for trials [start, stop) of one params."""
-    return _run_sweep_trials([params], key, hypothesis, start, stop)[0]
-
-
-def _simulate_group(
-    group: list[RunConfig], hypothesis: Hypothesis, workers: int
-) -> list[np.ndarray]:
-    """Statistics of configs that share a master seed and a trial count,
-    from one draw pass."""
-    params = [c.params for c in group]
-    key = _philox_key(group[0].master_seed)
-    trials = group[0].trials
-    if workers == 1 or trials < 2 * workers:
-        return _run_sweep_trials(params, key, hypothesis, 0, trials)
-    bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    tasks = [(params, key, hypothesis, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-    with get_context("fork").Pool(workers) as pool:
-        parts = pool.starmap(_run_sweep_trials, tasks)
-    return [np.concatenate(columns) for columns in zip(*parts)]
-
-
 def _workers_from_env() -> int:
     """BITSENSE_WORKERS as an integer, 1 if unset; anything else raises."""
     text = os.environ.get(WORKERS_ENV, "1")
@@ -222,14 +194,17 @@ def simulate_sweep(
 ) -> list[np.ndarray]:
     """Per-trial statistics of each config, in input order.
 
-    Configs that share a master seed and a trial count are drawn in one
-    pass.  A trial's stream depends only on the seed, the hypothesis and
-    the trial index, so each config reads its prefix of every trial's
-    draws: each result equals a run of that config alone.
-    ``workers`` defaults to the BITSENSE_WORKERS environment variable
-    (serial if unset); a count below 1, from either source, is serial.  The result is identical for any worker count:
-    chunks are pure functions of the trial range and are reassembled in
-    order.
+    Configs that share a master seed and a trial count form a group,
+    drawn in one pass: a trial's stream depends only on the seed, the
+    hypothesis and the trial index, so each config reads its prefix of
+    every trial's draws and equals a run of that config alone.  Each
+    group's trials are split into ``workers`` ranges, some possibly
+    empty; one task list holds every group's ranges.  One worker runs
+    it in process; more run it through one fork pool.  Each config's
+    statistics are its group's parts joined in order, so the result is
+    identical for any worker count.  ``workers`` defaults to the
+    BITSENSE_WORKERS environment variable (serial if unset); a count
+    below 1, from either source, is serial.
     """
     for config in configs:
         config.require_valid()
@@ -237,11 +212,21 @@ def simulate_sweep(
     groups: dict[tuple[int, int], list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault((config.master_seed, config.trials), []).append(i)
+    tasks = []
+    for (seed, trials), members in groups.items():
+        params = [configs[i].params for i in members]
+        bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
+        key = _philox_key(seed)
+        tasks += [(params, key, hypothesis, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    if workers == 1 or not tasks:
+        parts = [_run_sweep_trials(*task) for task in tasks]
+    else:
+        with get_context("fork").Pool(workers) as pool:
+            parts = pool.starmap(_run_sweep_trials, tasks)
     results: list[np.ndarray] = [None] * len(configs)
-    for members in groups.values():
-        stats = _simulate_group([configs[i] for i in members], hypothesis, workers)
-        for i, y in zip(members, stats):
-            results[i] = y
+    for g, members in enumerate(groups.values()):
+        for i, *columns in zip(members, *parts[g * workers : (g + 1) * workers]):
+            results[i] = np.concatenate(columns)
     return results
 
 

@@ -729,3 +729,44 @@ def test_stdout_names_every_file_written_in_order(tmp_path, capsys):
     argv = ["validate", "--quick", "--trials", "200", "--seed", "11", "--out", str(report)]
     assert main(argv) == 0
     assert capsys.readouterr().out == RECORDED_VALIDATE_STDOUT.format(out=report)
+
+
+def test_validate_runs_one_two_worker_pool_at_any_trial_count(tmp_path, monkeypatch, fake_pool):
+    monkeypatch.delenv("BITSENSE_WORKERS", raising=False)
+    main(["validate", "--trials", "3", "--out", str(tmp_path / "report.json")])
+    assert fake_pool == [(2, 2)]
+
+
+@pytest.mark.parametrize("command", ["roc", "theory"])
+def test_a_non_utf8_config_is_a_usage_error(tmp_path, capsys, command):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"n = 8\nr = 0.3\nlabel = caf\xe9\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {cfg}: ") and "utf-8" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["roc", "theory"])
+def test_a_byte_order_mark_is_ignored(tmp_path, command):
+    body = b"n = 8\nr = 0.3\ntrials = 40\nlabel = run\n"
+    outputs = []
+    for name, data in (("plain", body), ("bom", b"\xef\xbb\xbf" + body)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(data)
+        out = tmp_path / name
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_a_manifest_label_is_refused_for_json(tmp_path, capsys):
+    cfg = write_config(tmp_path, "n = 8\nr = 0.3\ntrials = 40\nlabel = manifest\n")
+    out = tmp_path / "out"
+    assert main(["roc", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "manifest" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert main(["roc", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.csv", "manifest.json"]

@@ -147,7 +147,7 @@ class TestChunkedEngine:
         rows = chunk_rows(config.params, hypothesis)
         start, stop = rows - 5, 2 * rows + 3
         key = montecarlo._philox_key(config.master_seed)
-        stats = montecarlo._run_trials(config.params, key, hypothesis, start, stop)
+        stats = montecarlo._run_sweep_trials([config.params], key, hypothesis, start, stop)[0]
         assert stats.tolist() == reference_statistics(config, hypothesis, start, stop)
 
     @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
@@ -586,3 +586,30 @@ def test_zero_or_negative_workers_env_var_runs_serially(monkeypatch, value):
     serial = simulate_statistics(config, Hypothesis.H1, workers=1)
     monkeypatch.setenv("BITSENSE_WORKERS", value)
     assert np.array_equal(simulate_statistics(config, Hypothesis.H1), serial)
+
+
+class TestOneTaskList:
+    """Serial and pooled runs share one task list; the in-process pool
+    starts no processes."""
+
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    def test_a_mixed_sweep_runs_one_pool_for_every_group(self, fake_pool, hypothesis):
+        serial = simulate_sweep(MIXED_SWEEP, hypothesis, workers=1)
+        assert fake_pool == []
+        pooled = simulate_sweep(MIXED_SWEEP, hypothesis, workers=2)
+        # four (seed, trials) groups, each split into two ranges
+        assert fake_pool == [(2, 8)]
+        assert [y.tolist() for y in pooled] == [y.tolist() for y in serial]
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_a_tiny_run_still_uses_the_pool(self, fake_pool, workers):
+        # five workers on three trials leave two ranges empty
+        config = make_config(trials=3)
+        serial = simulate_statistics(config, Hypothesis.H1, workers=1)
+        pooled = simulate_statistics(config, Hypothesis.H1, workers=workers)
+        assert fake_pool == [(workers, workers)]
+        assert pooled.tolist() == serial.tolist()
+
+    def test_an_empty_sweep_makes_no_pool(self, fake_pool):
+        assert simulate_sweep([], Hypothesis.H0, workers=2) == []
+        assert fake_pool == []
