@@ -9,8 +9,8 @@ Results are bit-identical serial and parallel.
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import asdict, dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -39,7 +39,8 @@ RNG_SCHEME = (
     "counter=[0, 0, trial_index, hypothesis]; draws=signal,noise-rows"
 )
 
-#: Environment variable overriding the worker count (default: serial).
+#: Environment variable overriding the worker count (default: one worker
+#: per DRAWS_PER_WORKER normals a call draws, up to the usable CPUs).
 WORKERS_ENV = "BITSENSE_WORKERS"
 
 ARTIFACT_VERSION = "0.1.0"
@@ -180,13 +181,91 @@ def _run_sweep_trials(
     return outs
 
 
-def _workers_from_env() -> int:
-    """BITSENSE_WORKERS as an integer, 1 if unset; anything else raises."""
-    text = os.environ.get(WORKERS_ENV, "1")
+def _workers_from_env() -> int | None:
+    """BITSENSE_WORKERS as an integer, None if unset; anything else raises."""
+    text = os.environ.get(WORKERS_ENV)
+    if text is None:
+        return None
     try:
         return int(text)
     except ValueError:
         raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+
+
+#: Normals one worker draws before another is worth forking: ~12 ms of
+#: drawing at ~22 ns a normal, about three times a fork's cost.
+DRAWS_PER_WORKER = 2**19
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_share(
+    tasks: list[tuple], w: int, workers: int, write_fd: int, inherited: list[int]
+) -> None:
+    """A forked child's whole life: close the ``inherited`` read ends, run
+    tasks w, w + workers, ..., pickle ``(ok, results or exception)`` into
+    ``write_fd`` and leave through ``os._exit``, which flushes none of
+    the parent's stdio buffers and runs none of its exit handlers."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            payload = (True, [_run_sweep_trials(*t) for t in tasks[w::workers]])
+        except BaseException as exc:
+            payload = (False, exc)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_map(tasks: list[tuple], workers: int) -> list[list[np.ndarray]]:
+    """`_run_sweep_trials(*task)` for every task, in task order.
+
+    Task j runs in process j % workers: this process runs share 0 and
+    ``workers - 1`` forked children run the others, each sending its
+    results back through its own pipe.  A child's exception is raised
+    here.  Every pipe not yet read is closed before the children are
+    reaped, so a child blocked writing a large result gets a broken
+    pipe and exits instead of hanging the wait.
+    """
+    pids: list[int] = []
+    unread: dict[int, int] = {}  # worker -> read end of its pipe
+    try:
+        for w in range(1, workers):
+            unread[w], write_fd = os.pipe()
+            try:
+                if (pid := os.fork()) == 0:
+                    _run_share(tasks, w, workers, write_fd, list(unread.values()))
+                pids.append(pid)
+            finally:  # the child never gets here: _run_share does not return
+                os.close(write_fd)
+        shares = [[_run_sweep_trials(*t) for t in tasks[0::workers]]]
+        for w, pid in enumerate(pids, 1):
+            with os.fdopen(unread.pop(w), "rb") as pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"worker {w} (pid {pid}) exited without a result")
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise result
+            shares.append(result)
+    finally:
+        for fd in unread.values():
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    parts: list = [None] * len(tasks)
+    for w, share in enumerate(shares):
+        parts[w::workers] = share
+    return parts
 
 
 def simulate_sweep(
@@ -200,18 +279,30 @@ def simulate_sweep(
     every trial's draws and equals a run of that config alone.  Each
     group's trials are split into ``workers`` ranges, some possibly
     empty; one task list holds every group's ranges.  One worker runs
-    it in process; more run it through one fork pool.  Each config's
+    it in process; more run it through `_fork_map`.  Each config's
     statistics are its group's parts joined in order, so the result is
-    identical for any worker count.  ``workers`` defaults to the
-    BITSENSE_WORKERS environment variable (serial if unset); a count
-    below 1, from either source, is serial.
+    identical for any worker count.
+
+    ``workers`` defaults to the BITSENSE_WORKERS environment variable.
+    If that is unset too, the count follows the work: one worker per
+    DRAWS_PER_WORKER normals the call draws (each group's trials times
+    its widest draw), at least one and at most the usable CPUs.  A
+    count below 1, from either source, is serial.
     """
     for config in configs:
         config.require_valid()
-    workers = max(1, _workers_from_env() if workers is None else workers)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault((config.master_seed, config.trials), []).append(i)
+    if workers is None:
+        workers = _workers_from_env()
+    if workers is None:
+        draws = sum(
+            trials * max(signal.draw_width(configs[i].params, hypothesis) for i in members)
+            for (_, trials), members in groups.items()
+        )
+        workers = min(_usable_cpus(), draws // DRAWS_PER_WORKER)
+    workers = max(1, workers)
     tasks = []
     for (seed, trials), members in groups.items():
         params = [configs[i].params for i in members]
@@ -221,8 +312,7 @@ def simulate_sweep(
     if workers == 1 or not tasks:
         parts = [_run_sweep_trials(*task) for task in tasks]
     else:
-        with get_context("fork").Pool(workers) as pool:
-            parts = pool.starmap(_run_sweep_trials, tasks)
+        parts = _fork_map(tasks, workers)
     results: list[np.ndarray] = [None] * len(configs)
     for g, members in enumerate(groups.values()):
         for i, *columns in zip(members, *parts[g * workers : (g + 1) * workers]):
