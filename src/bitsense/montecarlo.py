@@ -193,7 +193,7 @@ def _workers_from_env() -> int | None:
 
 
 #: Normals one worker draws before another is worth forking: ~12 ms of
-#: drawing at ~22 ns a normal, about three times a fork's cost.
+#: drawing at ~22 ns a normal, two to three times a fork's ~4-5 ms.
 DRAWS_PER_WORKER = 2**19
 
 
