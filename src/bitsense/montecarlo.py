@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -40,7 +41,8 @@ RNG_SCHEME = (
 )
 
 #: Environment variable overriding the worker count (default: one worker
-#: per DRAWS_PER_WORKER normals a call draws, up to the usable CPUs).
+#: per DRAWS_PER_WORKER normals a call draws, up to the usable CPUs; see
+#: `simulate_sweep`).
 WORKERS_ENV = "BITSENSE_WORKERS"
 
 ARTIFACT_VERSION = "0.1.0"
@@ -197,7 +199,12 @@ def _workers_from_env() -> int | None:
 DRAWS_PER_WORKER = 2**19
 
 
-def _usable_cpus() -> int:
+def _default_worker_cap() -> int:
+    """The most workers the default count may use: the usable CPUs, but 1
+    where this process cannot fork or runs other threads, whose locks a
+    forked child would inherit held and never see released."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -210,7 +217,8 @@ def _run_share(
     """A forked child's whole life: close the ``inherited`` read ends, run
     tasks w, w + workers, ..., pickle ``(ok, results or exception)`` into
     ``write_fd`` and leave through ``os._exit``, which flushes none of
-    the parent's stdio buffers and runs none of its exit handlers."""
+    the parent's stdio buffers and runs none of its exit handlers.  What
+    will not pickle is sent as a RuntimeError naming it."""
     code = 1
     try:
         for fd in inherited:
@@ -219,8 +227,13 @@ def _run_share(
             payload = (True, [_run_sweep_trials(*t) for t in tasks[w::workers]])
         except BaseException as exc:
             payload = (False, exc)
+        try:
+            data = pickle.dumps(payload)
+        except Exception as exc:  # a result or an exception that will not pickle
+            cause = exc if payload[0] else payload[1]
+            data = pickle.dumps((False, RuntimeError(f"worker {w} failed: {cause!r}")))
         with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(payload))
+            pipe.write(data)
         code = 0
     finally:
         os._exit(code)
@@ -286,8 +299,11 @@ def simulate_sweep(
     ``workers`` defaults to the BITSENSE_WORKERS environment variable.
     If that is unset too, the count follows the work: one worker per
     DRAWS_PER_WORKER normals the call draws (each group's trials times
-    its widest draw), at least one and at most the usable CPUs.  A
-    count below 1, from either source, is serial.
+    its widest draw), at least one and at most the usable CPUs, so a
+    large library call forks too; pass ``workers=1`` or set
+    BITSENSE_WORKERS=1 to keep it in process.  The default is serial
+    where the process cannot fork or runs other threads.  A count below
+    1, from either source, is serial.
     """
     for config in configs:
         config.require_valid()
@@ -301,7 +317,7 @@ def simulate_sweep(
             trials * max(signal.draw_width(configs[i].params, hypothesis) for i in members)
             for (_, trials), members in groups.items()
         )
-        workers = min(_usable_cpus(), draws // DRAWS_PER_WORKER)
+        workers = min(_default_worker_cap(), draws // DRAWS_PER_WORKER)
     workers = max(1, workers)
     tasks = []
     for (seed, trials), members in groups.items():

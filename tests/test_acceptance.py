@@ -211,7 +211,7 @@ def test_a7_determinism_serial_vs_parallel(tmp_path, monkeypatch):
     serial_dir = tmp_path / "serial"
     parallel_dir = tmp_path / "parallel"
 
-    monkeypatch.delenv("BITSENSE_WORKERS", raising=False)
+    monkeypatch.setenv("BITSENSE_WORKERS", "1")
     assert main(["roc", "--preset", "fig3", "--out", str(serial_dir)]) == 0
 
     monkeypatch.setenv("BITSENSE_WORKERS", str(os.cpu_count() or 2))

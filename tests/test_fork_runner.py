@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,16 @@ FAILURES = {
         ValueError,
         "x",
     ),
+    "child-raises-what-will-not-pickle": (
+        """
+        def run(params, key, hypothesis, start, stop):
+            if os.getpid() != PARENT:
+                raise ValueError(lambda: 0)
+            return real_run(params, key, hypothesis, start, stop)
+        """,
+        RuntimeError,
+        "worker 1 failed: ValueError(<function",
+    ),
     "child-exits-without-a-result": (
         """
         def run(params, key, hypothesis, start, stop):
@@ -148,6 +159,22 @@ class TestDefaultWorkerCount:
 
     def test_a_small_draw_stays_serial(self, fake_pool):
         simulate_sweep([h1_config(2000)], Hypothesis.H1)
+        assert fake_pool == []
+
+    def test_a_process_that_cannot_fork_stays_serial(self, fake_pool, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        simulate_sweep([h1_config(20000)], Hypothesis.H1)
+        assert fake_pool == []
+
+    def test_a_process_with_other_threads_stays_serial(self, fake_pool):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            simulate_sweep([h1_config(20000)], Hypothesis.H1)
+        finally:
+            release.set()
+            waiter.join()
         assert fake_pool == []
 
     def test_an_explicit_count_is_honoured(self, fake_pool, monkeypatch):
