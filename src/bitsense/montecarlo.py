@@ -40,9 +40,7 @@ RNG_SCHEME = (
     "counter=[0, 0, trial_index, hypothesis]; draws=signal,noise-rows"
 )
 
-#: Environment variable overriding the worker count (default: one worker
-#: per DRAWS_PER_WORKER normals a call draws, up to the usable CPUs; see
-#: `simulate_sweep`).
+#: Environment variable setting the worker count (see `_worker_count`).
 WORKERS_ENV = "BITSENSE_WORKERS"
 
 ARTIFACT_VERSION = "0.1.0"
@@ -199,39 +197,47 @@ def _workers_from_env() -> int | None:
 DRAWS_PER_WORKER = 2**19
 
 
-def _default_worker_cap() -> int:
-    """The most workers the default count may use: the usable CPUs, but 1
-    where this process cannot fork or runs other threads, whose locks a
-    forked child would inherit held and never see released."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
+def _worker_count(workers: int | None, draws: int) -> int:
+    """The number of workers a sweep of ``draws`` normals runs on.
+
+    ``workers`` if given, else BITSENSE_WORKERS, else one worker per
+    DRAWS_PER_WORKER normals, at most the usable CPUs; a count below 1,
+    from any source, is 1.  The default is 1 where this process cannot
+    fork or runs other threads, whose locks a forked child would inherit
+    held and never see released.
+    """
+    if workers is None:
+        workers = _workers_from_env()
+    if workers is None:
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            return 1
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no CPU affinity on this platform
+            cpus = os.cpu_count() or 1
+        workers = min(cpus, draws // DRAWS_PER_WORKER)
+    return max(1, workers)
 
 
-def _run_share(
-    tasks: list[tuple], w: int, workers: int, write_fd: int, inherited: list[int]
-) -> None:
+def _run_share(share: list[tuple], w: int, write_fd: int, inherited: list[int]) -> None:
     """A forked child's whole life: close the ``inherited`` read ends, run
-    tasks w, w + workers, ..., pickle ``(ok, results or exception)`` into
-    ``write_fd`` and leave through ``os._exit``, which flushes none of
-    the parent's stdio buffers and runs none of its exit handlers.  What
-    will not pickle is sent as a RuntimeError naming it."""
+    worker w's ``share`` of tasks, pickle its result list or its exception
+    into ``write_fd`` and leave through ``os._exit``, which flushes none
+    of the parent's stdio buffers and runs none of its exit handlers.
+    What will not pickle is sent as a RuntimeError naming it."""
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
         try:
-            payload = (True, [_run_sweep_trials(*t) for t in tasks[w::workers]])
+            result = [_run_sweep_trials(*t) for t in share]
         except BaseException as exc:
-            payload = (False, exc)
+            result = exc
         try:
-            data = pickle.dumps(payload)
+            data = pickle.dumps(result)
         except Exception as exc:  # a result or an exception that will not pickle
-            cause = exc if payload[0] else payload[1]
-            data = pickle.dumps((False, RuntimeError(f"worker {w} failed: {cause!r}")))
+            cause = result if isinstance(result, BaseException) else exc
+            data = pickle.dumps(RuntimeError(f"worker {w} failed: {cause!r}"))
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(data)
         code = 0
@@ -239,45 +245,43 @@ def _run_share(
         os._exit(code)
 
 
-def _fork_map(tasks: list[tuple], workers: int) -> list[list[np.ndarray]]:
-    """`_run_sweep_trials(*task)` for every task, in task order.
+def _fork_map(shares: list[list[tuple]]) -> list[list[list[np.ndarray]]]:
+    """`_run_sweep_trials(*task)` for every task of every share: one
+    result list per share, in task order.
 
-    Task j runs in process j % workers: this process runs share 0 and
-    ``workers - 1`` forked children run the others, each sending its
-    results back through its own pipe.  A child's exception is raised
-    here.  Every pipe not yet read is closed before the children are
-    reaped, so a child blocked writing a large result gets a broken
-    pipe and exits instead of hanging the wait.
+    This process runs share 0 and one forked child runs each other
+    share, sending its results back through its own pipe, so a single
+    share forks nothing.  A child's exception is raised here.  Every
+    pipe not yet read is closed before the children are reaped, so a
+    child blocked writing a large result gets a broken pipe and exits
+    instead of hanging the wait.
     """
     pids: list[int] = []
     unread: dict[int, int] = {}  # worker -> read end of its pipe
     try:
-        for w in range(1, workers):
+        for w, share in enumerate(shares[1:], 1):
             unread[w], write_fd = os.pipe()
             try:
                 if (pid := os.fork()) == 0:
-                    _run_share(tasks, w, workers, write_fd, list(unread.values()))
+                    _run_share(share, w, write_fd, list(unread.values()))
                 pids.append(pid)
             finally:  # the child never gets here: _run_share does not return
                 os.close(write_fd)
-        shares = [[_run_sweep_trials(*t) for t in tasks[0::workers]]]
+        parts = [[_run_sweep_trials(*t) for t in shares[0]]]
         for w, pid in enumerate(pids, 1):
             with os.fdopen(unread.pop(w), "rb") as pipe:
                 data = pipe.read()
             if not data:
                 raise RuntimeError(f"worker {w} (pid {pid}) exited without a result")
-            ok, result = pickle.loads(data)
-            if not ok:
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
                 raise result
-            shares.append(result)
+            parts.append(result)
     finally:
         for fd in unread.values():
             os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
-    parts: list = [None] * len(tasks)
-    for w, share in enumerate(shares):
-        parts[w::workers] = share
     return parts
 
 
@@ -290,49 +294,36 @@ def simulate_sweep(
     drawn in one pass: a trial's stream depends only on the seed, the
     hypothesis and the trial index, so each config reads its prefix of
     every trial's draws and equals a run of that config alone.  Each
-    group's trials are split into ``workers`` ranges, some possibly
-    empty; one task list holds every group's ranges.  One worker runs
-    it in process; more run it through `_fork_map`.  Each config's
-    statistics are its group's parts joined in order, so the result is
-    identical for any worker count.
-
-    ``workers`` defaults to the BITSENSE_WORKERS environment variable.
-    If that is unset too, the count follows the work: one worker per
-    DRAWS_PER_WORKER normals the call draws (each group's trials times
-    its widest draw), at least one and at most the usable CPUs, so a
-    large library call forks too; pass ``workers=1`` or set
-    BITSENSE_WORKERS=1 to keep it in process.  The default is serial
-    where the process cannot fork or runs other threads.  A count below
-    1, from either source, is serial.
+    group's trials are split into one range per worker, some possibly
+    empty; worker w's share is range w of every group, and `_fork_map`
+    runs the shares.  Each config's statistics are its group's ranges
+    joined in order, so the result is identical for any worker count.
+    `_worker_count` sets the count from ``workers``, BITSENSE_WORKERS
+    and the normals the call draws (each group's trials times its
+    widest draw); ``workers=1`` keeps the call in process.
     """
     for config in configs:
         config.require_valid()
     groups: dict[tuple[int, int], list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault((config.master_seed, config.trials), []).append(i)
-    if workers is None:
-        workers = _workers_from_env()
-    if workers is None:
-        draws = sum(
-            trials * max(signal.draw_width(configs[i].params, hypothesis) for i in members)
-            for (_, trials), members in groups.items()
-        )
-        workers = min(_default_worker_cap(), draws // DRAWS_PER_WORKER)
-    workers = max(1, workers)
-    tasks = []
+    draws = sum(
+        trials * max(signal.draw_width(configs[i].params, hypothesis) for i in members)
+        for (_, trials), members in groups.items()
+    )
+    workers = _worker_count(workers, draws)
+    shares: list[list[tuple]] = [[] for _ in range(workers if groups else 1)]
     for (seed, trials), members in groups.items():
         params = [configs[i].params for i in members]
         bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
         key = _philox_key(seed)
-        tasks += [(params, key, hypothesis, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    if workers == 1 or not tasks:
-        parts = [_run_sweep_trials(*task) for task in tasks]
-    else:
-        parts = _fork_map(tasks, workers)
+        for share, a, b in zip(shares, bounds[:-1], bounds[1:]):
+            share.append((params, key, hypothesis, a, b))
+    parts = _fork_map(shares)
     results: list[np.ndarray] = [None] * len(configs)
     for g, members in enumerate(groups.values()):
-        for i, *columns in zip(members, *parts[g * workers : (g + 1) * workers]):
-            results[i] = np.concatenate(columns)
+        for k, i in enumerate(members):
+            results[i] = np.concatenate([part[g][k] for part in parts])
     return results
 
 
