@@ -41,7 +41,17 @@ def agreement_counts(bits: np.ndarray) -> np.ndarray:
     Unchecked: shape and 0/1 entries are the caller's responsibility.
     Returns int64 counts of shape ``bits.shape[:-2]``.
     """
-    return np.sum(bits[..., 1:] == bits[..., :-1], axis=(-2, -1))
+    return sensor_counts(bits)[..., -1]
+
+
+def sensor_counts(bits: np.ndarray) -> np.ndarray:
+    """Running `statistic` over sensors of an (..., N, n) bit array.
+
+    Column k of the (..., N) int64 result counts the agreements of
+    sensors 0..k, so it is the statistic of the first k + 1 sensors.
+    Unchecked, like `agreement_counts`.
+    """
+    return np.cumsum(np.sum(bits[..., 1:] == bits[..., :-1], axis=-1), axis=-1)
 
 
 def decide(y_count: int, eta: float, direction: DetectorDirection) -> int:

@@ -33,8 +33,8 @@ from .model import DetectorDirection, Hypothesis, ModelParams, _direction_of, va
 #: Each trial consumes draws signal-first, then noise row-major.  So at
 #: one master seed and hypothesis, a config's draws for a trial are a
 #: prefix of any wider config's draws for it, whatever either's n, N or
-#: r, and `simulate_sweep` draws them once for all configs that share a
-#: seed and a trial count.
+#: r, and `_simulate` draws them once for all configs that share a seed,
+#: a trial count and a hypothesis.
 RNG_SCHEME = (
     "philox4x64-10; key=seedseq(master_seed).state[2]; "
     "counter=[0, 0, trial_index, hypothesis]; draws=signal,noise-rows"
@@ -147,20 +147,29 @@ def _run_sweep_trials(
     The key is the Philox key of the one master seed all params share.
     One Philox is reset to each trial's fresh-stream state in turn, which
     draws exactly what `seed_for_trial` would.  A trial's normals fill
-    one row of a chunk buffer as wide as the widest params; each params
-    then runs the source, quantizer and count over its own prefix of the
-    rows (see RNG_SCHEME).
+    one row of a chunk buffer as wide as the widest params (see
+    RNG_SCHEME).  Params that differ only in N form a family: the same
+    n and sigma2, and under H1 the same source.  A member's bits are the
+    first N sensors of its family's widest member, so each family runs
+    the source, quantizer and count once, and a member with N sensors
+    reads column N - 1 of the running per-sensor counts.
     """
-    widths = [signal.draw_width(p, hypothesis) for p in params]
-    factors = [
-        signal.factor_covariance(p) if hypothesis is Hypothesis.H1 else None
-        for p in params
-    ]
-    widest = max(widths)
+    h1 = hypothesis is Hypothesis.H1
+    families: dict[tuple, list[int]] = {}
+    for i, p in enumerate(params):
+        source = (p.sigma_s2, p.r) if h1 else ()
+        families.setdefault((p.n, p.sigma2, *source), []).append(i)
+    passes = []
+    for members in families.values():
+        wide = max((params[i] for i in members), key=lambda p: p.num_sensors)
+        factor = signal.factor_covariance(wide) if h1 else None
+        columns = [(i, params[i].num_sensors - 1) for i in members]
+        passes.append((wide, signal.draw_width(wide, hypothesis), factor, columns))
+    widest = max(width for _, width, _, _ in passes)
     chunk = max(1, CHUNK_BYTES // (8 * widest))
     draws = np.empty((min(chunk, stop - start), widest))
     bitgen = np.random.Philox(key=key)
-    rng = np.random.Generator(bitgen)
+    normal = np.random.Generator(bitgen).standard_normal
     # A fresh stream's state: buffer_pos 4 means the first draw starts a
     # new block.  Python ints make the per-trial state assignment cheaper
     # than the numpy scalars it is read back as.
@@ -174,10 +183,13 @@ def _run_sweep_trials(
         for t, row in enumerate(rows, lo):
             state["state"]["counter"] = _trial_counter(t, hyp_tag)
             bitgen.state = state
-            rng.standard_normal(out=row)
-        for p, width, factor, out in zip(params, widths, factors, outs):
-            bits = signal.observe_draws(p, hypothesis, rows[:, :width], factor=factor)
-            out[lo - start : lo - start + len(rows)] = detector.agreement_counts(bits)
+            normal(out=row)
+        at = slice(lo - start, lo - start + len(rows))
+        for wide, width, factor, columns in passes:
+            bits = signal.observe_draws(wide, hypothesis, rows[:, :width], factor=factor)
+            counts = detector.sensor_counts(bits)
+            for i, column in columns:
+                outs[i][at] = counts[:, column]
     return outs
 
 
@@ -193,7 +205,9 @@ def _workers_from_env() -> int | None:
 
 
 #: Normals one worker draws before another is worth forking: ~12 ms of
-#: drawing at ~22 ns a normal, two to three times a fork's ~4-5 ms.
+#: drawing at ~22 ns a normal, one to three times what a fork costs a
+#: ~100 MB process, 3.5-10 ms by the machine's load (os.fork, the
+#: child's start and reaping it after it exits).
 DRAWS_PER_WORKER = 2**19
 
 
@@ -285,46 +299,54 @@ def _fork_map(shares: list[list[tuple]]) -> list[list[list[np.ndarray]]]:
     return parts
 
 
-def simulate_sweep(
-    configs: list[RunConfig], hypothesis: Hypothesis, workers: int | None = None
+def _simulate(
+    jobs: list[tuple[RunConfig, Hypothesis]], workers: int | None
 ) -> list[np.ndarray]:
-    """Per-trial statistics of each config, in input order.
+    """Per-trial statistics of each (config, hypothesis) job, in input order.
 
-    Configs that share a master seed and a trial count form a group,
-    drawn in one pass: a trial's stream depends only on the seed, the
-    hypothesis and the trial index, so each config reads its prefix of
-    every trial's draws and equals a run of that config alone.  Each
+    Jobs that share a master seed, a trial count and a hypothesis form a
+    group, drawn in one pass: a trial's stream depends only on the seed,
+    the hypothesis and the trial index, so each config reads its prefix
+    of every trial's draws and equals a run of that config alone.  Each
     group's trials are split into one range per worker, some possibly
-    empty; worker w's share is range w of every group, and `_fork_map`
-    runs the shares.  Each config's statistics are its group's ranges
-    joined in order, so the result is identical for any worker count.
-    `_worker_count` sets the count from ``workers``, BITSENSE_WORKERS
-    and the normals the call draws (each group's trials times its
-    widest draw); ``workers=1`` keeps the call in process.
+    empty; worker w's share is range w of every group, and one
+    `_fork_map` call runs the shares.  Each job's statistics are its
+    group's ranges joined in order, so the result is identical for any
+    worker count.  `_worker_count` sets the count from ``workers``,
+    BITSENSE_WORKERS and the normals the call draws (each group's trials
+    times its widest draw); ``workers=1`` keeps the call in process.
     """
-    for config in configs:
+    for config, _ in jobs:
         config.require_valid()
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, config in enumerate(configs):
-        groups.setdefault((config.master_seed, config.trials), []).append(i)
+    groups: dict[tuple[int, int, Hypothesis], list[int]] = {}
+    for i, (config, hypothesis) in enumerate(jobs):
+        groups.setdefault((config.master_seed, config.trials, hypothesis), []).append(i)
     draws = sum(
-        trials * max(signal.draw_width(configs[i].params, hypothesis) for i in members)
-        for (_, trials), members in groups.items()
+        trials * max(signal.draw_width(jobs[i][0].params, hypothesis) for i in members)
+        for (_, trials, hypothesis), members in groups.items()
     )
     workers = _worker_count(workers, draws)
     shares: list[list[tuple]] = [[] for _ in range(workers if groups else 1)]
-    for (seed, trials), members in groups.items():
-        params = [configs[i].params for i in members]
+    for (seed, trials, hypothesis), members in groups.items():
+        params = [jobs[i][0].params for i in members]
         bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
         key = _philox_key(seed)
         for share, a, b in zip(shares, bounds[:-1], bounds[1:]):
             share.append((params, key, hypothesis, a, b))
     parts = _fork_map(shares)
-    results: list[np.ndarray] = [None] * len(configs)
+    results: list[np.ndarray] = [None] * len(jobs)
     for g, members in enumerate(groups.values()):
         for k, i in enumerate(members):
             results[i] = np.concatenate([part[g][k] for part in parts])
     return results
+
+
+def simulate_sweep(
+    configs: list[RunConfig], hypothesis: Hypothesis, workers: int | None = None
+) -> list[np.ndarray]:
+    """Per-trial statistics of each config under one hypothesis, in input
+    order (see `_simulate`)."""
+    return _simulate([(c, hypothesis) for c in configs], workers)
 
 
 def simulate_statistics(
@@ -335,29 +357,23 @@ def simulate_statistics(
     return simulate_sweep([config], hypothesis, workers)[0]
 
 
-def _sweep_rates(
-    configs: list[RunConfig], hypothesis: Hypothesis, workers: int | None
-) -> list[np.ndarray]:
-    """Each config's firing rate per threshold under one hypothesis."""
-    return [
+def estimate_sweep(
+    configs: list[RunConfig], workers: int | None = None
+) -> list[RocCurve]:
+    """Empirical ROC of each config, in input order.
+
+    One `_simulate` call draws both hypotheses' statistics for every
+    config, so a sweep forks at most once; each is then reduced to its
+    firing rate per threshold.
+    """
+    jobs = [(c, h) for h in (Hypothesis.H0, Hypothesis.H1) for c in configs]
+    rates = [
         detector.firing_mass(
             detector.upper_counts(y, c.params.pairs_total), c.thresholds, c.direction
         )
         / len(y)
-        for c, y in zip(configs, simulate_sweep(configs, hypothesis, workers))
+        for (c, _), y in zip(jobs, _simulate(jobs, workers))
     ]
-
-
-def estimate_sweep(
-    configs: list[RunConfig], workers: int | None = None
-) -> list[RocCurve]:
-    """Empirical ROC of each config, in input order (see `simulate_sweep`).
-
-    Each hypothesis's statistics are reduced to rates before the next
-    hypothesis is drawn, so only one hypothesis's statistics are held.
-    """
-    pfa = _sweep_rates(configs, Hypothesis.H0, workers)
-    pd = _sweep_rates(configs, Hypothesis.H1, workers)
     return [
         RocCurve(
             eta=c.thresholds,
@@ -366,7 +382,7 @@ def estimate_sweep(
             source=RocSource.EMPIRICAL,
             trials_used=c.trials,
         )
-        for c, a, b in zip(configs, pfa, pd)
+        for c, a, b in zip(configs, rates[: len(configs)], rates[len(configs) :])
     ]
 
 

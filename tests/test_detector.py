@@ -11,6 +11,7 @@ from bitsense.detector import (
     decide,
     direction_for,
     firing_mass,
+    sensor_counts,
     statistic,
     sweep_thresholds,
     upper_counts,
@@ -79,6 +80,14 @@ class TestStatistic:
         counts = agreement_counts(batch)
         assert counts.shape == (len(batch),)
         assert counts.tolist() == [statistic(bits) for bits in batch]
+
+    @given(bit_batches)
+    def test_sensor_counts_are_the_statistics_of_the_first_sensors(self, batch):
+        counts = sensor_counts(batch)
+        assert counts.shape == batch.shape[:2]
+        assert counts.tolist() == [
+            [statistic(bits[: k + 1]) for k in range(len(bits))] for bits in batch
+        ]
 
 
 class TestDecide:

@@ -138,6 +138,23 @@ def test_children_never_repeat_buffered_output():
     assert done.stderr == "err line\n"
 
 
+def test_an_roc_sweep_reaps_every_child():
+    body = """
+    configs = [
+        montecarlo.RunConfig(ModelParams(n=4, num_sensors=N, sigma_s2=1.0, r=0.5, sigma2=1e-4), 1, 8)
+        for N in (1, 2, 3)
+    ]
+    serial = montecarlo.estimate_sweep(configs, workers=1)
+    forked = montecarlo.estimate_sweep(configs, workers=3)
+    for a, b in zip(serial, forked):
+        assert a.pfa.tolist() == b.pfa.tolist() and a.pd.tolist() == b.pd.tolist()
+    print("reaped" if no_child_left() else "child left")
+    """
+    done = run_script(body)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "reaped\n"
+
+
 def h1_config(trials: int) -> RunConfig:
     params = ModelParams(n=20, num_sensors=3, sigma_s2=1.0, r=0.5, sigma2=1e-4)
     return RunConfig(params, master_seed=7, trials=trials)

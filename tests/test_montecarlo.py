@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bitsense import montecarlo
 from bitsense.analytic import (
@@ -416,6 +416,24 @@ sweeps = st.lists(
     max_size=6,
 )
 
+#: Sweeps of few seeds, trial counts, record lengths and noise powers, so
+#: configs often share a sensor family, n and sigma2, yet differ in N, r
+#: and sigma_s2, which under H1 split a family.
+family_sweeps = st.lists(
+    st.builds(
+        sweep_config,
+        n=st.sampled_from([3, 20]),
+        num_sensors=st.integers(1, 4),
+        r=st.sampled_from([-0.45, 0.3, 0.5]),
+        sigma_s2=st.sampled_from([1.0, 1.7]),
+        sigma2=st.sampled_from([1e-4, 2.0]),
+        trials=st.sampled_from([13, 40]),
+        master_seed=st.sampled_from([1, 2]),
+    ),
+    min_size=2,
+    max_size=6,
+)
+
 #: A fixed mixed sweep: one group of seed 5 and 130 trials with N = 1, 2
 #: and 4 and both signs of r; between its members, configs of another seed,
 #: another n and other trial counts at seed 5, which form groups of their own.
@@ -448,6 +466,19 @@ class TestSweepEngine:
             swept = simulate_sweep(MIXED_SWEEP, hypothesis, workers=workers)
             assert [y.tolist() for y in swept] == alone
 
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(configs=family_sweeps)
+    def test_every_family_member_equals_its_reference(self, fake_pool, hypothesis, configs):
+        alone = [reference_statistics(c, hypothesis, 0, c.trials) for c in configs]
+        for workers in (1, 2):
+            swept = simulate_sweep(configs, hypothesis, workers=workers)
+            assert [y.tolist() for y in swept] == alone
+
     def test_estimate_sweep_equals_estimate_rates(self):
         for swept, config in zip(estimate_sweep(MIXED_SWEEP), MIXED_SWEEP):
             alone = estimate_rates(config)
@@ -469,6 +500,17 @@ class TestSweepEngine:
         # each (seed, trials) group draws its trials once: three configs
         # share the seed-5 130-trial pass
         assert len(counters) == 130 + 130 + 150 + 41
+
+    def test_an_roc_sweep_draws_each_trial_once_per_hypothesis(self, monkeypatch):
+        counters = []
+
+        def counting(trial_index, hyp_tag):
+            counters.append((trial_index, hyp_tag))
+            return [0, 0, trial_index, hyp_tag]
+
+        monkeypatch.setattr(montecarlo, "_trial_counter", counting)
+        estimate_sweep(MIXED_SWEEP, workers=1)
+        assert len(counters) == 2 * (130 + 130 + 150 + 41)
 
 
 class TestGridFollowsParams:
@@ -609,6 +651,22 @@ class TestOneTaskList:
         pooled = simulate_statistics(config, Hypothesis.H1, workers=workers)
         assert fake_pool == [(workers, workers)]
         assert pooled.tolist() == serial.tolist()
+
+    def test_an_roc_sweep_forks_once_for_both_hypotheses(self, fake_pool):
+        serial = estimate_sweep(MIXED_SWEEP, workers=1)
+        assert fake_pool == []
+        pooled = estimate_sweep(MIXED_SWEEP, workers=2)
+        # four (seed, trials) groups per hypothesis, each split into two ranges
+        assert fake_pool == [(2, 16)]
+        for a, b in zip(pooled, serial):
+            assert a.pfa.tolist() == b.pfa.tolist() and a.pd.tolist() == b.pd.tolist()
+
+    def test_the_fig3_preset_forks_once(self, fake_pool, monkeypatch, tmp_path):
+        monkeypatch.setenv("BITSENSE_WORKERS", "2")
+        argv = ["roc", "--preset", "fig3", "--trials", "300", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        # N = 1, 2, 3 share one group per hypothesis
+        assert fake_pool == [(2, 4)]
 
     def test_an_empty_sweep_makes_no_pool(self, fake_pool):
         assert simulate_sweep([], Hypothesis.H0, workers=2) == []
