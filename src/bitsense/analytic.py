@@ -108,7 +108,7 @@ def orthant_prob_closed(c11: float, c12: float, c22: float) -> float:
 
 
 def orthant_prob_quadrature(c11: float, c12: float, c22: float) -> float:
-    """P(z1 >= 0, z2 >= 0) by numerical integration, to within 1e-8.
+    """P(z1 >= 0, z2 >= 0) by numerical integration, to within 1e-9.
 
     The orthant probability is scale-invariant, so standardize and
     condition on z1 = t: z2 | z1=t is normal with mean rho*t and variance

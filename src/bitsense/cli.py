@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -250,17 +251,20 @@ def _resolve_configs(args) -> list[tuple[str, RunConfig]]:
     return labeled
 
 
-def _check_workers_env() -> None:
-    """A bad BITSENSE_WORKERS fails before any directory is made or trial drawn."""
+def _workers() -> int | None:
+    """BITSENSE_WORKERS as a worker count, None if unset; read before any output."""
+    text = os.environ.get("BITSENSE_WORKERS")
+    if text is None:
+        return None
     try:
-        montecarlo._workers_from_env()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"BITSENSE_WORKERS must be an integer, got {text!r}") from None
 
 
 def cmd_roc(args) -> int:
     started = time.perf_counter()
-    _check_workers_env()
+    workers = _workers()
     labeled = _resolve_configs(args)
     if args.format == "json" and any(label == "manifest" for label, _ in labeled):
         raise ConfigError("label 'manifest' would overwrite manifest.json; choose another label")
@@ -268,7 +272,7 @@ def cmd_roc(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # one draw pass per master seed and hypothesis serves every config
-    curves = montecarlo.estimate_sweep([config for _, config in labeled])
+    curves = montecarlo.estimate_sweep([config for _, config in labeled], workers)
     outputs = []
     config_dicts = []
     for (label, config), empirical in zip(labeled, curves):
@@ -350,9 +354,9 @@ def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def run_validation_suite(trials: int, master_seed: int) -> list[dict]:
-    """Built-in oracle suite: closed form vs quadrature, Monte Carlo vs
-    exact binomial, and a determinism replay."""
+def run_validation_suite(trials: int, master_seed: int, workers: int | None) -> list[dict]:
+    """Built-in oracle suite: closed form vs quadrature, Monte Carlo on
+    ``workers`` vs exact binomial, and a 1- vs 2-worker determinism replay."""
     _, config = _build(dict(label="validate", n=20, r=0.5), trials=trials, seed=master_seed)
     checks = []
 
@@ -388,7 +392,7 @@ def run_validation_suite(trials: int, master_seed: int) -> list[dict]:
     upper = np.zeros(m + 2, dtype=np.int64)
     for offset in range(5):
         sub = dataclasses.replace(config, master_seed=(master_seed + offset) % 2**64)
-        stats = montecarlo.simulate_statistics(sub, Hypothesis.H0)
+        stats = montecarlo.simulate_statistics(sub, Hypothesis.H0, workers)
         upper += detector.upper_counts(stats, m)
     fired = detector.firing_mass(upper, config.thresholds, config.direction)
     exact = montecarlo.exact_h0_rates(config)
@@ -422,14 +426,14 @@ def run_validation_suite(trials: int, master_seed: int) -> list[dict]:
 
 
 def cmd_validate(args) -> int:
-    _check_workers_env()
+    workers = _workers()
     trials = 2000 if args.quick else 20000
     if args.trials is not None:
         trials = args.trials
     out_path = Path(args.out)
     if out_path.is_dir():
         raise ConfigError(f"--out {out_path} is a directory; give the report's file path")
-    checks = run_validation_suite(trials=trials, master_seed=args.seed)
+    checks = run_validation_suite(trials, args.seed, workers)
     all_passed = all(c["passed"] for c in checks)
     report = {
         "all_passed": all_passed,
@@ -488,6 +492,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a config too large for this host, e.g. a huge n
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

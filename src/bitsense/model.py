@@ -57,6 +57,11 @@ def _direction_of(r: float) -> DetectorDirection:
     return DetectorDirection.LESS_IS_H1 if r < 0 else DetectorDirection.GREATER_IS_H1
 
 
+def _is_int(value) -> bool:
+    """The one rule for a count or a seed: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class NonPositiveDefiniteError(ValueError):
     """A covariance that must be positive definite is not."""
 
@@ -124,9 +129,9 @@ def validate(params: ModelParams) -> ValidationReport:
     violations = []
     warnings = []
 
-    if not isinstance(params.n, int) or params.n < 2:
+    if not _is_int(params.n) or params.n < 2:
         violations.append(f"n must be an integer >= 2, got {params.n!r}")
-    if not isinstance(params.num_sensors, int) or params.num_sensors < 1:
+    if not _is_int(params.num_sensors) or params.num_sensors < 1:
         violations.append(
             f"num_sensors must be an integer >= 1, got {params.num_sensors!r}"
         )

@@ -23,7 +23,7 @@ from .analytic import (  # the H1_VARIANCE_* flags are also importable from here
     TheoryMode,
 )
 from .curves import RocCurve, RocSource
-from .model import DetectorDirection, Hypothesis, ModelParams, _direction_of, validate
+from .model import DetectorDirection, Hypothesis, ModelParams, _direction_of, _is_int, validate
 
 #: Stream derivation contract, recorded in every manifest.  Philox4x64-10
 #: keyed by the master seed (via SeedSequence expansion to 128 bits); the
@@ -39,9 +39,6 @@ RNG_SCHEME = (
     "philox4x64-10; key=seedseq(master_seed).state[2]; "
     "counter=[0, 0, trial_index, hypothesis]; draws=signal,noise-rows"
 )
-
-#: Environment variable setting the worker count (see `_worker_count`).
-WORKERS_ENV = "BITSENSE_WORKERS"
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -77,7 +74,7 @@ class RunConfig:
 
     def violations(self) -> list[str]:
         problems = list(validate(self.params).violations)
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             problems.append(f"trials must be an integer >= 1, got {self.trials!r}")
         if len(self.thresholds) == 0:
             problems.append("thresholds must be non-empty")
@@ -85,7 +82,7 @@ class RunConfig:
             problems.append("thresholds must be finite")
         elif len(self.thresholds) >= 2 and not np.all(np.diff(self.thresholds) > 0):
             problems.append("thresholds must be strictly increasing")
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < 2**64:
+        if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2**64:
             problems.append(f"master_seed must fit in 64 bits, got {self.master_seed!r}")
         return problems
 
@@ -193,17 +190,6 @@ def _run_sweep_trials(
     return outs
 
 
-def _workers_from_env() -> int | None:
-    """BITSENSE_WORKERS as an integer, None if unset; anything else raises."""
-    text = os.environ.get(WORKERS_ENV)
-    if text is None:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
-
-
 #: Normals one worker draws before another is worth forking: ~12 ms of
 #: drawing at ~22 ns a normal, one to three times what a fork costs a
 #: ~100 MB process, 3.5-10 ms by the machine's load (os.fork, the
@@ -214,14 +200,11 @@ DRAWS_PER_WORKER = 2**19
 def _worker_count(workers: int | None, draws: int) -> int:
     """The number of workers a sweep of ``draws`` normals runs on.
 
-    ``workers`` if given, else BITSENSE_WORKERS, else one worker per
-    DRAWS_PER_WORKER normals, at most the usable CPUs; a count below 1,
-    from any source, is 1.  The default is 1 where this process cannot
-    fork or runs other threads, whose locks a forked child would inherit
-    held and never see released.
+    ``workers`` if given, else one worker per DRAWS_PER_WORKER normals,
+    at most the usable CPUs; a count below 1 is 1.  The default is 1
+    where this process cannot fork or runs other threads, whose locks a
+    forked child would inherit held and never see released.
     """
-    if workers is None:
-        workers = _workers_from_env()
     if workers is None:
         if not hasattr(os, "fork") or threading.active_count() > 1:
             return 1
@@ -312,8 +295,8 @@ def _simulate(
     empty; worker w's share is range w of every group, and one
     `_fork_map` call runs the shares.  Each job's statistics are its
     group's ranges joined in order, so the result is identical for any
-    worker count.  `_worker_count` sets the count from ``workers``,
-    BITSENSE_WORKERS and the normals the call draws (each group's trials
+    worker count.  `_worker_count` sets the count from ``workers`` or,
+    if it is None, from the normals the call draws (each group's trials
     times its widest draw); ``workers=1`` keeps the call in process.
     """
     for config, _ in jobs:

@@ -679,6 +679,23 @@ def test_a_bad_workers_env_var_fails_before_any_output(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_zero_or_negative_workers_env_var_runs_roc_serially(tmp_path, monkeypatch, fake_pool):
+    import hashlib
+
+    for value in ("0", "-2"):
+        monkeypatch.setenv("BITSENSE_WORKERS", value)
+        out = tmp_path / value
+        argv = ["roc", "--preset", "fig3", "--trials", "300", "--seed", "5", "--out", str(out)]
+        assert main(argv) == 0
+        assert fake_pool == []
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()
+            if path.name != "manifest.json"
+        }
+        assert digests == RECORDED_SWEEP_SHA256
+
+
 def test_theory_ignores_the_workers_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("BITSENSE_WORKERS", "abc")
     assert main(["theory", "--preset", "fig2", "--out", str(tmp_path / "t")]) == 0
@@ -735,6 +752,24 @@ def test_validate_runs_one_two_worker_pool_at_any_trial_count(tmp_path, monkeypa
     monkeypatch.delenv("BITSENSE_WORKERS", raising=False)
     main(["validate", "--trials", "3", "--out", str(tmp_path / "report.json")])
     assert fake_pool == [(2, 2)]
+
+
+def test_validate_makes_seven_engine_calls_of_its_trial_count(tmp_path, monkeypatch, fake_pool):
+    # benchmarks/ reads validate's call and trial counts (7 and 7 x 40)
+    # through these calls
+    calls = []
+    simulate = bitsense.montecarlo.simulate_statistics
+
+    def counted(config, hypothesis, workers=None):
+        calls.append((config.trials, hypothesis, workers))
+        return simulate(config, hypothesis, workers)
+
+    monkeypatch.setattr(bitsense.montecarlo, "simulate_statistics", counted)
+    monkeypatch.setenv("BITSENSE_WORKERS", "3")
+    argv = ["validate", "--quick", "--trials", "40", "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    h0, h1 = bitsense.Hypothesis.H0, bitsense.Hypothesis.H1
+    assert calls == [(40, h0, 3)] * 5 + [(40, h1, 1), (40, h1, 2)]
 
 
 @pytest.mark.parametrize("command", ["roc", "theory"])

@@ -1,7 +1,9 @@
-"""CLI error paths: an output path that is a file, and a config line with no '='."""
+"""CLI error paths: an output path that is a file, a config line with no '=',
+and a config too large for memory."""
 
 import pytest
 
+from bitsense import detector
 from bitsense.cli import main
 
 
@@ -22,5 +24,30 @@ def test_a_config_line_without_an_equals_sign_is_a_usage_error(tmp_path, capsys)
     assert main(["roc", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {cfg}:1: expected 'key = value', got 'n 20'\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError("Unable to allocate 22.4 GiB"), "Unable to allocate 22.4 GiB"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_a_config_too_large_for_memory_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, error, message
+):
+    # n = 3e9 really does run out of memory building the threshold grid;
+    # raising here keeps the test from allocating on a host that overcommits
+    def out_of_memory(params):
+        raise error
+
+    monkeypatch.setattr(detector, "sweep_thresholds", out_of_memory)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("n = 3000000000\nr = 0.3\n")
+    assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()

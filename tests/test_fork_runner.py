@@ -194,11 +194,9 @@ class TestDefaultWorkerCount:
             waiter.join()
         assert fake_pool == []
 
-    def test_an_explicit_count_is_honoured(self, fake_pool, monkeypatch):
+    def test_an_explicit_count_is_honoured(self, fake_pool):
         simulate_sweep([h1_config(20000)], Hypothesis.H1, workers=2)
-        monkeypatch.setenv("BITSENSE_WORKERS", "2")
-        simulate_sweep([h1_config(3)], Hypothesis.H1)
-        assert fake_pool == [(2, 2), (2, 2)]
+        assert fake_pool == [(2, 2)]
 
 
 @pytest.mark.parametrize("workers", ["2", "3"])

@@ -66,6 +66,7 @@ def test_zero_correlation_warning_depends_on_sensor_count():
         dict(sigma2=-0.5),
         dict(r=math.nan),
         dict(sigma_s2=math.inf),
+        dict(num_sensors=True),
     ],
 )
 def test_invalid_parameters_are_reported(kwargs):
