@@ -679,23 +679,6 @@ def test_a_bad_workers_env_var_fails_before_any_output(
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_zero_or_negative_workers_env_var_runs_roc_serially(tmp_path, monkeypatch, fake_pool):
-    import hashlib
-
-    for value in ("0", "-2"):
-        monkeypatch.setenv("BITSENSE_WORKERS", value)
-        out = tmp_path / value
-        argv = ["roc", "--preset", "fig3", "--trials", "300", "--seed", "5", "--out", str(out)]
-        assert main(argv) == 0
-        assert fake_pool == []
-        digests = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in out.iterdir()
-            if path.name != "manifest.json"
-        }
-        assert digests == RECORDED_SWEEP_SHA256
-
-
 def test_theory_ignores_the_workers_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("BITSENSE_WORKERS", "abc")
     assert main(["theory", "--preset", "fig2", "--out", str(tmp_path / "t")]) == 0

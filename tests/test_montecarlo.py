@@ -629,6 +629,31 @@ def test_an_explicit_worker_count_below_one_runs_serially(workers):
     assert np.array_equal(curve.pd, serial_curve.pd)
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_zero_or_negative_workers_env_var_runs_serially(tmp_path, monkeypatch, fake_pool, value):
+    """The CLI passes the variable's count to the engine, which runs a count
+    below 1 in this process with the serial run's bytes."""
+    seen = []
+    count = montecarlo._worker_count
+
+    def spy(workers, draws):
+        seen.append(workers)
+        return count(workers, draws)
+
+    monkeypatch.setattr(montecarlo, "_worker_count", spy)
+    argv = ["roc", "--preset", "fig3", "--trials", "300", "--seed", "5", "--out"]
+    monkeypatch.setenv("BITSENSE_WORKERS", "1")
+    assert main(argv + [str(tmp_path / "serial")]) == 0
+    monkeypatch.setenv("BITSENSE_WORKERS", value)
+    assert main(argv + [str(tmp_path / "env")]) == 0
+    assert seen == [1, int(value)]
+    assert fake_pool == []
+    names = sorted(path.name for path in (tmp_path / "serial").glob("*.csv"))
+    assert names == ["fig3_N1.csv", "fig3_N2.csv", "fig3_N3.csv"]
+    for name in names:
+        assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
 class TestOneTaskList:
     """Serial and pooled runs share one task list; the in-process pool
     starts no processes."""
