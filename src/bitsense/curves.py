@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,11 +15,28 @@ class RocSource(enum.Enum):
     EXACT_H0_HYBRID = "exact-h0-hybrid"
 
 
+def _read_only(values) -> np.ndarray:
+    """A read-only float copy, which no later write by the caller reaches."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+def _equal_by_value(a, b) -> bool:
+    """``==`` of a dataclass by value: its compared array fields through
+    `np.array_equal`, the others through ``==``."""
+    if type(a) is not type(b):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
+
+
 @dataclass(frozen=True)
 class RocCurve:
     """Operating points (eta, pfa, pd), ordered by increasing threshold.
 
-    ``trials_used`` is 0 for purely analytic curves.
+    ``trials_used`` is 0 for purely analytic curves.  Curves compare by
+    value and hold read-only copies of their arrays.
     """
 
     eta: np.ndarray
@@ -28,14 +45,14 @@ class RocCurve:
     source: RocSource
     trials_used: int = 0
 
+    __eq__ = _equal_by_value
+
     def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "pfa", np.asarray(self.pfa, dtype=float))
-        object.__setattr__(self, "pd", np.asarray(self.pd, dtype=float))
-        if not (len(eta) == len(self.pfa) == len(self.pd)):
+        for name in ("eta", "pfa", "pd"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        if not (len(self.eta) == len(self.pfa) == len(self.pd)):
             raise ValueError("eta, pfa, pd must have equal length")
-        if len(eta) >= 2 and not np.all(np.diff(eta) > 0):
+        if len(self.eta) >= 2 and not np.all(np.diff(self.eta) > 0):
             raise ValueError("thresholds must be strictly increasing")
 
     def __len__(self) -> int:

@@ -22,7 +22,7 @@ from .analytic import (  # the H1_VARIANCE_* flags are also importable from here
     H1_VARIANCE_ZERO,
     TheoryMode,
 )
-from .curves import RocCurve, RocSource
+from .curves import RocCurve, RocSource, _equal_by_value, _read_only
 from .model import DetectorDirection, Hypothesis, ModelParams, _direction_of, _is_int, validate
 
 #: Stream derivation contract, recorded in every manifest.  Philox4x64-10
@@ -48,7 +48,8 @@ class RunConfig:
     """One Monte Carlo experiment: model, trial count, seed, thresholds.
 
     ``thresholds`` None is the sweep grid of ``params``, and it follows
-    ``params`` through ``dataclasses.replace``; a caller's grid is kept.
+    ``params`` through ``dataclasses.replace``; a caller's grid is kept,
+    as a read-only copy.  Configs compare by value.
     """
 
     params: ModelParams
@@ -59,18 +60,17 @@ class RunConfig:
     #: The params a default grid was built for; `replace` carries it along.
     _grid_params: ModelParams | None = field(default=None, repr=False, compare=False)
 
+    __eq__ = _equal_by_value
+
     def __post_init__(self):
-        built_for = self._grid_params
-        if self.thresholds is None or (
+        built_for, thresholds = self._grid_params, self.thresholds
+        if thresholds is None or (
             built_for not in (None, self.params)
-            and np.array_equal(self.thresholds, detector.sweep_thresholds(built_for))
+            and np.array_equal(thresholds, detector.sweep_thresholds(built_for))
         ):
-            object.__setattr__(self, "thresholds", detector.sweep_thresholds(self.params))
+            thresholds = detector.sweep_thresholds(self.params)
             object.__setattr__(self, "_grid_params", self.params)
-        else:
-            object.__setattr__(
-                self, "thresholds", np.asarray(self.thresholds, dtype=float)
-            )
+        object.__setattr__(self, "thresholds", _read_only(thresholds))
 
     def violations(self) -> list[str]:
         problems = list(validate(self.params).violations)
@@ -201,13 +201,10 @@ def _worker_count(workers: int | None, draws: int) -> int:
     """The number of workers a sweep of ``draws`` normals runs on.
 
     ``workers`` if given, else one worker per DRAWS_PER_WORKER normals,
-    at most the usable CPUs; a count below 1 is 1.  The default is 1
-    where this process cannot fork or runs other threads, whose locks a
-    forked child would inherit held and never see released.
+    at most the usable CPUs; a count below 1 is 1.  Whether the workers
+    get processes of their own is `_fork_map`'s rule, not this one's.
     """
     if workers is None:
-        if not hasattr(os, "fork") or threading.active_count() > 1:
-            return 1
         try:
             cpus = len(os.sched_getaffinity(0))
         except AttributeError:  # no CPU affinity on this platform
@@ -248,15 +245,18 @@ def _fork_map(shares: list[list[tuple]]) -> list[list[list[np.ndarray]]]:
 
     This process runs share 0 and one forked child runs each other
     share, sending its results back through its own pipe, so a single
-    share forks nothing.  A child's exception is raised here.  Every
-    pipe not yet read is closed before the children are reaped, so a
-    child blocked writing a large result gets a broken pipe and exits
-    instead of hanging the wait.
+    share forks nothing.  Where this process cannot fork or runs other
+    threads, whose locks a forked child would inherit held and never see
+    released, it runs every share itself, in order.  A child's exception
+    is raised here.  Every pipe not yet read is closed before the
+    children are reaped, so a child blocked writing a large result gets
+    a broken pipe and exits instead of hanging the wait.
     """
+    local = 1 if hasattr(os, "fork") and threading.active_count() == 1 else len(shares)
     pids: list[int] = []
     unread: dict[int, int] = {}  # worker -> read end of its pipe
     try:
-        for w, share in enumerate(shares[1:], 1):
+        for w, share in enumerate(shares[local:], 1):
             unread[w], write_fd = os.pipe()
             try:
                 if (pid := os.fork()) == 0:
@@ -264,7 +264,7 @@ def _fork_map(shares: list[list[tuple]]) -> list[list[list[np.ndarray]]]:
                 pids.append(pid)
             finally:  # the child never gets here: _run_share does not return
                 os.close(write_fd)
-        parts = [[_run_sweep_trials(*t) for t in shares[0]]]
+        parts = [[_run_sweep_trials(*t) for t in share] for share in shares[:local]]
         for w, pid in enumerate(pids, 1):
             with os.fdopen(unread.pop(w), "rb") as pipe:
                 data = pipe.read()

@@ -124,12 +124,15 @@ def test_a3_single_sensor_correlation_ordering():
 def test_a4_sensor_count_ordering():
     """More sensors means better detection at Pfa ~ 0.1.
 
-    Known red, kept faithful: with one source realization shared by all
-    sensors and noise std 1e-2, sensor bit rows are ~99.7% identical, so
-    the true N=2 -> N=3 gain at this operating point is ~0.005 (measured
-    0.7439 vs 0.7393 at 1e6 trials) while the 3-sigma rule at 20000
-    trials demands > ~0.013.  The ordering itself is real and the
-    N=1 -> N=2 leg passes by a wide margin.
+    Known red, kept faithful.  The nearest-Pfa read-out compares two
+    operating points: exact Pfa 0.1279 for N=2 (Y >= 23 of 38) and
+    0.0924 for N=3 (Y >= 34 of 57).  With one source realization shared
+    by all sensors and noise std 1e-2, sensor bit rows are ~99.7%
+    identical, so the true gain between those two points is ~0.005
+    (measured 0.7439 vs 0.7393 at 1e6 trials), while the 3-sigma rule at
+    20000 trials demands > ~0.013.  At equal Pfa 0.1 the gap is ~0.025
+    (0.736 vs 0.761, randomised read-out, 200k trials).  The ordering
+    itself is real and the N=1 -> N=2 leg passes by a wide margin.
     """
     started = time.perf_counter()
     labeled = expand_preset("fig3", master_seed=DEFAULT_MASTER_SEED)
@@ -155,8 +158,9 @@ def test_a4_sensor_count_ordering():
         gaps_ok and elapsed < 60.0,
         "; ".join(details)
         + f"; runtime {elapsed:.1f}s (< 60s)"
-        + " [shared-source network model caps the true N=3 vs N=2 gap at"
-        " ~0.005 at this operating point; see README and docstring]",
+        + " [nearest-Pfa read-out: N=2 at exact Pfa 0.128, N=3 at 0.092, where"
+        " the true N=3 vs N=2 gap is ~0.005; at equal Pfa 0.1 it is ~0.025;"
+        " see README and docstring]",
     )
 
 

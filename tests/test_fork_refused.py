@@ -1,11 +1,13 @@
 """The fork runner when a fork is refused, and the sweeps that must not fork."""
 
+import hashlib
 import os
 
 import pytest
 
 from bitsense.model import Hypothesis, ModelParams
 from bitsense.montecarlo import RunConfig, simulate_sweep
+from test_cli import RECORDED_JSON_SHA256, RECORDED_VALIDATE_SHA256
 from test_fork_runner import run_script
 
 
@@ -53,3 +55,36 @@ def test_one_share_forks_nothing(monkeypatch):
     (y,) = simulate_sweep([RunConfig(params, master_seed=1, trials=8)], Hypothesis.H1, workers=1)
     assert len(y) == 8
     assert simulate_sweep([], Hypothesis.H0, workers=2) == []
+
+
+def run_cli_without_fork(argv: list[str], workers: str | None = None):
+    """`bitsense <argv>` in a fresh interpreter that has no `os.fork`."""
+    setup = f"os.environ['BITSENSE_WORKERS'] = {workers!r}" if workers else ""
+    body = f"""
+    import os, sys
+    del os.fork
+    {setup}
+    from bitsense.cli import main
+    sys.exit(main({argv!r}))
+    """
+    return run_script(body, preamble="")
+
+
+def test_validate_runs_its_two_worker_replay_where_nothing_can_fork(tmp_path):
+    report = tmp_path / "report.json"
+    done = run_cli_without_fork(["validate", "--quick", "--seed", "11", "--out", str(report)])
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == RECORDED_VALIDATE_SHA256
+
+
+def test_an_explicit_workers_env_var_runs_in_process_where_nothing_can_fork(tmp_path):
+    out = tmp_path / "out"
+    argv = ["roc", "--preset", "fig3", "--trials", "300", "--seed", "5", "--format", "json"]
+    done = run_cli_without_fork(argv + ["--out", str(out)], workers="2")
+    assert done.returncode == 0, done.stderr
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.iterdir()
+        if path.name != "manifest.json"
+    }
+    assert digests == RECORDED_JSON_SHA256

@@ -5,6 +5,7 @@ Failure paths run in a fresh interpreter under a timeout, so a runner that
 hangs or leaves a child behind fails the test instead of the test session.
 """
 
+import contextlib
 import hashlib
 import os
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import bitsense
+from bitsense import montecarlo
 from bitsense.cli import main
 from bitsense.model import Hypothesis, ModelParams
 from bitsense.montecarlo import RunConfig, simulate_sweep
@@ -178,25 +180,61 @@ class TestDefaultWorkerCount:
         simulate_sweep([h1_config(2000)], Hypothesis.H1)
         assert fake_pool == []
 
-    def test_a_process_that_cannot_fork_stays_serial(self, fake_pool, monkeypatch):
+    def test_a_process_that_cannot_fork_stays_serial(self, monkeypatch):
+        (serial,) = simulate_sweep([h1_config(20000)], Hypothesis.H1, workers=1)
         monkeypatch.delattr(os, "fork")
-        simulate_sweep([h1_config(20000)], Hypothesis.H1)
-        assert fake_pool == []
+        ranges = ranges_run_in_process(monkeypatch)
+        (y,) = simulate_sweep([h1_config(20000)], Hypothesis.H1)
+        assert y.tolist() == serial.tolist()
+        # the sizing still gives three shares; this process runs all of them
+        assert ranges == [(0, 6666), (6666, 13333), (13333, 20000)]
 
-    def test_a_process_with_other_threads_stays_serial(self, fake_pool):
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait)
-        waiter.start()
-        try:
-            simulate_sweep([h1_config(20000)], Hypothesis.H1)
-        finally:
-            release.set()
-            waiter.join()
-        assert fake_pool == []
+    def test_a_process_with_other_threads_stays_serial(self, monkeypatch):
+        (serial,) = simulate_sweep([h1_config(20000)], Hypothesis.H1, workers=1)
+        with a_live_thread(monkeypatch):
+            (y,) = simulate_sweep([h1_config(20000)], Hypothesis.H1)
+        assert y.tolist() == serial.tolist()
 
     def test_an_explicit_count_is_honoured(self, fake_pool):
         simulate_sweep([h1_config(20000)], Hypothesis.H1, workers=2)
         assert fake_pool == [(2, 2)]
+
+    def test_an_explicit_count_beside_another_thread_forks_nothing(self, monkeypatch):
+        (serial,) = simulate_sweep([h1_config(2000)], Hypothesis.H1, workers=1)
+        with a_live_thread(monkeypatch):
+            (y,) = simulate_sweep([h1_config(2000)], Hypothesis.H1, workers=2)
+        assert y.tolist() == serial.tolist()
+
+
+def ranges_run_in_process(monkeypatch) -> list[tuple[int, int]]:
+    """The trial ranges `_run_sweep_trials` runs in this process, in order."""
+    ranges = []
+    real_run = montecarlo._run_sweep_trials
+
+    def run(params, key, hypothesis, start, stop):
+        ranges.append((start, stop))
+        return real_run(params, key, hypothesis, start, stop)
+
+    monkeypatch.setattr(montecarlo, "_run_sweep_trials", run)
+    return ranges
+
+
+@contextlib.contextmanager
+def a_live_thread(monkeypatch):
+    """Run the block beside a second Python thread, with `os.fork` raising."""
+
+    def fork():
+        raise AssertionError("forked beside a live thread")
+
+    monkeypatch.setattr(os, "fork", fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        yield
+    finally:
+        release.set()
+        waiter.join()
 
 
 @pytest.mark.parametrize("workers", ["2", "3"])

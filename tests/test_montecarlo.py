@@ -16,7 +16,7 @@ from bitsense.analytic import (
     theory_roc,
 )
 from bitsense.cli import _curve_rows, main, parse_config_file
-from bitsense.curves import RocSource
+from bitsense.curves import RocCurve, RocSource
 from bitsense.detector import direction_for, sweep_thresholds
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams
 from bitsense.montecarlo import (
@@ -104,6 +104,42 @@ class TestRunConfig:
         assert make_config(r=0.5).direction is DetectorDirection.GREATER_IS_H1
         assert make_config(r=-0.3).direction is DetectorDirection.LESS_IS_H1
         assert make_config(r=0.0).direction is DetectorDirection.GREATER_IS_H1
+
+
+class TestValues:
+    """Configs and curves compare by value and keep their own arrays."""
+
+    def test_equal_configs_compare_equal(self):
+        config = make_config(trials=10)
+        assert config == make_config(trials=10) and config in [make_config(trials=10)]
+        # the grid's origin is not part of the value
+        assert config == make_config(trials=10, thresholds=sweep_thresholds(config.params))
+        assert config != replace(config, thresholds=[0.5, 1.5])
+        assert config != replace(config, trials=11)
+
+    def test_a_config_keeps_its_own_copy_of_the_thresholds(self):
+        thresholds = np.array([0.5, 1.5, 2.5])
+        config = make_config(trials=10, thresholds=thresholds)
+        thresholds[0] = 9.0
+        assert config.thresholds.tolist() == [0.5, 1.5, 2.5]
+        assert config.violations() == []
+        with pytest.raises(ValueError, match="read-only"):
+            config.thresholds[0] = 9.0
+
+    def test_equal_curves_compare_equal(self):
+        curve = estimate_rates(make_config(trials=10), workers=1)
+        again = estimate_rates(make_config(trials=10), workers=1)
+        assert curve == again and curve in [again]
+        assert curve != replace(curve, pd=1.0 - curve.pd)
+        assert curve != replace(curve, source=RocSource.EXACT_H0_HYBRID)
+
+    def test_a_curve_keeps_its_own_copy_of_its_rates(self):
+        pfa = np.array([0.5, 0.25])
+        curve = RocCurve(eta=[0.5, 1.5], pfa=pfa, pd=[0.75, 0.5], source=RocSource.EMPIRICAL)
+        pfa[0] = 0.0
+        assert curve.pfa.tolist() == [0.5, 0.25]
+        with pytest.raises(ValueError, match="read-only"):
+            curve.pd[0] = 0.0
 
 
 class TestSeedForTrial:
