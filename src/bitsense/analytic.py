@@ -24,6 +24,7 @@ from .model import (
     ModelParams,
     NonPositiveDefiniteError,
     _direction_of,
+    require_valid,
 )
 
 # Orthant quadrature: integration domain is truncated at 10 standard
@@ -219,7 +220,9 @@ def gaussian_rates(params: ModelParams, mode: TheoryMode, thresholds):
     with every ``pd`` entry None when the mode's H1 variance is negative,
     and ``h1_flag`` one of the ``H1_VARIANCE_*`` constants.  The tails
     follow ``RunConfig.direction``: downward for r < 0, else upward.
+    Raises ValueError for params that `model.validate` rejects.
     """
+    require_valid(params)
     m0 = moments(params, Hypothesis.H0, mode)
     m1 = moments(params, Hypothesis.H1, mode)
     direction = _direction_of(params.r)

@@ -76,7 +76,10 @@ class RunConfig:
         problems = list(validate(self.params).violations)
         if not _is_int(self.trials) or self.trials < 1:
             problems.append(f"trials must be an integer >= 1, got {self.trials!r}")
-        if len(self.thresholds) == 0:
+        if self.thresholds.ndim != 1:
+            shape = self.thresholds.shape
+            problems.append(f"thresholds must be one-dimensional, got shape {shape}")
+        elif len(self.thresholds) == 0:
             problems.append("thresholds must be non-empty")
         elif not np.all(np.isfinite(self.thresholds)):
             problems.append("thresholds must be finite")
@@ -290,14 +293,14 @@ def _simulate(
     Jobs that share a master seed, a trial count and a hypothesis form a
     group, drawn in one pass: a trial's stream depends only on the seed,
     the hypothesis and the trial index, so each config reads its prefix
-    of every trial's draws and equals a run of that config alone.  Each
-    group's trials are split into one range per worker, some possibly
-    empty; worker w's share is range w of every group, and one
-    `_fork_map` call runs the shares.  Each job's statistics are its
-    group's ranges joined in order, so the result is identical for any
-    worker count.  `_worker_count` sets the count from ``workers`` or,
-    if it is None, from the normals the call draws (each group's trials
-    times its widest draw); ``workers=1`` keeps the call in process.
+    of every trial's draws and equals a run of that config alone.  The
+    call makes one share per worker, but no more than its largest group
+    has trials, so every share has trials; share w holds range w of each
+    group's trials, and one `_fork_map` call runs the shares.  Each job's
+    statistics are its group's ranges joined in order, so the result is
+    identical for any worker count.  `_worker_count` sets the count from
+    ``workers`` or, if it is None, from the normals the call draws (each
+    group's trials times its widest draw); ``workers=1`` stays in process.
     """
     for config, _ in jobs:
         config.require_valid()
@@ -308,8 +311,8 @@ def _simulate(
         trials * max(signal.draw_width(jobs[i][0].params, hypothesis) for i in members)
         for (_, trials, hypothesis), members in groups.items()
     )
-    workers = _worker_count(workers, draws)
-    shares: list[list[tuple]] = [[] for _ in range(workers if groups else 1)]
+    workers = min(_worker_count(workers, draws), max((t for _, t, _ in groups), default=1))
+    shares: list[list[tuple]] = [[] for _ in range(workers)]
     for (seed, trials, hypothesis), members in groups.items():
         params = [jobs[i][0].params for i in members]
         bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
@@ -391,8 +394,19 @@ def exact_h0_rates(config: RunConfig) -> np.ndarray:
     return detector.firing_mass(tail, config.thresholds, config.direction)
 
 
+def _require_same_grid(config: RunConfig, empirical: RocCurve) -> None:
+    """Raise ValueError unless ``empirical`` was read at ``config``'s thresholds."""
+    if not np.array_equal(empirical.eta, config.thresholds):
+        curve, grid = (
+            f"{g.size} thresholds {np.array2string(g, threshold=6, edgeitems=2)}"
+            for g in (empirical.eta, config.thresholds)
+        )
+        raise ValueError(f"the empirical curve's {curve} are not the config's {grid}")
+
+
 def exact_hybrid_curve(config: RunConfig, empirical: RocCurve) -> RocCurve:
     """Exact H0 tail paired with the empirical detection rate."""
+    _require_same_grid(config, empirical)
     return RocCurve(
         eta=config.thresholds,
         pfa=exact_h0_rates(config),
@@ -411,6 +425,7 @@ def _joined_rows(
     order, ``pd_theory`` None where that variance is negative.  ``exact``
     is ``exact_h0_rates(config)``, so a join over both modes computes it once.
     """
+    _require_same_grid(config, empirical)
     pfa, pd, flag = analytic.gaussian_rates(config.params, mode, config.thresholds)
     keys = ("eta", "pfa_emp", "pd_emp", "pfa_theory", "pd_theory", "pfa_exact")
     columns = zip(

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from bitsense import montecarlo
@@ -5,15 +7,17 @@ from bitsense import montecarlo
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """Replace the engine's fork runner with an in-process one.  The list
-    returned holds ``(workers, tasks)`` for each run of more than one
-    share, in order."""
+    """Run the engine's real fork runner with `os.fork` deleted, so it runs
+    every share in this process and starts none.  The list returned holds
+    ``(shares, tasks)`` for each run of more than one share, in order."""
     calls = []
+    fork_map = montecarlo._fork_map
 
-    def run_in_process(shares):
+    def recorded(shares):
         if len(shares) > 1:
             calls.append((len(shares), sum(map(len, shares))))
-        return [[montecarlo._run_sweep_trials(*task) for task in share] for share in shares]
+        return fork_map(shares)
 
-    monkeypatch.setattr(montecarlo, "_fork_map", run_in_process)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(montecarlo, "_fork_map", recorded)
     return calls

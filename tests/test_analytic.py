@@ -246,6 +246,11 @@ class TestTheoryRoc:
         curve = theory_roc(params, TheoryMode.CONSISTENT, [mean])
         assert curve.pd[0] == 0.5
 
+    def test_a_model_that_validate_rejects_is_refused(self):
+        # sigma_s2 < 2|r|: the source covariance is not positive definite
+        with pytest.raises(ValueError, match="not positive definite"):
+            theory_roc(make_params(r=0.6), TheoryMode.CONSISTENT, [9.5, 12.5])
+
     def test_paper_literal_refuses_negative_variance(self):
         with pytest.raises(NegativeVarianceError):
             theory_roc(make_params(), TheoryMode.PAPER_LITERAL, [9.5])

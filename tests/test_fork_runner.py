@@ -199,6 +199,18 @@ class TestDefaultWorkerCount:
         simulate_sweep([h1_config(20000)], Hypothesis.H1, workers=2)
         assert fake_pool == [(2, 2)]
 
+    def test_an_explicit_count_splits_off_no_share_without_trials(self, fake_pool, monkeypatch):
+        # eight workers on groups of 5 and 2 trials: five shares, each with
+        # a trial of the larger group; the smaller group's range may be empty
+        configs = [h1_config(5), h1_config(2)]
+        serial = simulate_sweep(configs, Hypothesis.H1, workers=1)
+        ranges = ranges_run_in_process(monkeypatch)
+        pooled = simulate_sweep(configs, Hypothesis.H1, workers=8)
+        assert fake_pool == [(5, 10)]
+        shares = [ranges[k : k + 2] for k in range(0, len(ranges), 2)]
+        assert len(shares) == 5 and all(any(a < b for a, b in share) for share in shares)
+        assert [y.tolist() for y in pooled] == [y.tolist() for y in serial]
+
     def test_an_explicit_count_beside_another_thread_forks_nothing(self, monkeypatch):
         (serial,) = simulate_sweep([h1_config(2000)], Hypothesis.H1, workers=1)
         with a_live_thread(monkeypatch):

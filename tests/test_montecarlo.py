@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,14 @@ class TestRunConfig:
         config = make_config(**kwargs)
         assert config.violations() == [problem]
         with pytest.raises(ValueError, match=problem):
+            estimate_rates(config)
+
+    @pytest.mark.parametrize("thresholds, shape", [([[0.5, 1.5, 2.5]], (1, 3)), (0.5, ())])
+    def test_thresholds_must_be_one_dimensional(self, thresholds, shape):
+        problem = f"thresholds must be one-dimensional, got shape {shape}"
+        config = make_config(trials=10, thresholds=thresholds)
+        assert config.violations() == [problem]
+        with pytest.raises(ValueError, match=re.escape(problem)):
             estimate_rates(config)
 
     def test_invalid_params_propagate(self):
@@ -356,6 +365,15 @@ class TestCompareTheory:
         consistent = moments(config.params, Hypothesis.H1, TheoryMode.CONSISTENT)
         assert paper.mean == 19.0
         assert consistent.mean == 9.5
+
+    def test_a_curve_from_another_grid_is_refused(self):
+        config, other = make_config(num_sensors=3, trials=50), make_config(trials=50)
+        empirical = estimate_rates(other)
+        grids = r"curve's 21 thresholds \[.*\] are not the config's 59 thresholds \["
+        with pytest.raises(ValueError, match=grids):
+            compare_theory(config, empirical=empirical)
+        with pytest.raises(ValueError, match=grids):
+            exact_hybrid_curve(config, empirical)
 
     def test_reuses_precomputed_empirical_curve(self):
         config = make_config(trials=500)
@@ -703,13 +721,13 @@ class TestOneTaskList:
         assert fake_pool == [(2, 8)]
         assert [y.tolist() for y in pooled] == [y.tolist() for y in serial]
 
-    @pytest.mark.parametrize("workers", [2, 5])
+    @pytest.mark.parametrize("workers", [2, 5, 50])
     def test_a_tiny_run_still_uses_the_pool(self, fake_pool, workers):
-        # five workers on three trials leave two ranges empty
+        # three trials make at most three shares, one trial or more in each
         config = make_config(trials=3)
         serial = simulate_statistics(config, Hypothesis.H1, workers=1)
         pooled = simulate_statistics(config, Hypothesis.H1, workers=workers)
-        assert fake_pool == [(workers, workers)]
+        assert fake_pool == [(min(workers, 3),) * 2]
         assert pooled.tolist() == serial.tolist()
 
     def test_an_roc_sweep_forks_once_for_both_hypotheses(self, fake_pool):
