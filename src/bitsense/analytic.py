@@ -220,15 +220,26 @@ def gaussian_rates(params: ModelParams, mode: TheoryMode, thresholds):
     with every ``pd`` entry None when the mode's H1 variance is negative,
     and ``h1_flag`` one of the ``H1_VARIANCE_*`` constants.  The tails
     follow ``RunConfig.direction``: downward for r < 0, else upward.
-    Raises ValueError for params that `model.validate` rejects.
+    Each tail is `gaussian_tail`'s to the last bit: numpy rounds each
+    elementwise step as Python does, and every tail goes through
+    ``math.erfc``.  Raises ValueError for params that `model.validate`
+    rejects and for a grid that breaks `detector.threshold_violations`.
     """
     require_valid(params)
+    thresholds = np.asarray(thresholds, dtype=float)
+    problems = detector.threshold_violations(thresholds)
+    if problems:
+        raise ValueError("invalid thresholds: " + problems[0])
     m0 = moments(params, Hypothesis.H0, mode)
     m1 = moments(params, Hypothesis.H1, mode)
     direction = _direction_of(params.r)
 
     def tails(m: TheoryMoments) -> list[float]:
-        return [gaussian_tail(eta, m.mean, m.variance, direction) for eta in thresholds]
+        if m.variance == 0.0:
+            return [gaussian_tail(eta, m.mean, 0.0, direction) for eta in thresholds.tolist()]
+        upward = direction is DetectorDirection.GREATER_IS_H1
+        z = (thresholds - m.mean if upward else m.mean - thresholds) / math.sqrt(m.variance)
+        return [0.5 * math.erfc(x) for x in (z / _SQRT2).tolist()]
 
     if m1.variance < 0:
         return tails(m0), [None] * len(thresholds), H1_VARIANCE_NEGATIVE
@@ -250,9 +261,9 @@ def theory_roc(
     diagonal.  That is exact for one sensor only: with N >= 2 the shared
     source inflates Var(Y | H1) about N-fold, which neither mode models,
     and the empirical ROC lies above the diagonal.  Raises
-    :class:`NegativeVarianceError` in paper-literal mode when p > 1/2.
+    :class:`NegativeVarianceError` in paper-literal mode when p > 1/2,
+    and ValueError for a grid that breaks `detector.threshold_violations`.
     """
-    thresholds = np.asarray(thresholds, dtype=float)
     pfa, pd, flag = gaussian_rates(params, mode, thresholds)
     if flag == H1_VARIANCE_NEGATIVE:
         variance = moments(params, Hypothesis.H1, mode).variance

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -65,21 +66,26 @@ class ConfigError(Exception):
     """Bad config file, bad parameter values, or unusable output target."""
 
 
-def _fmt(x) -> str:
-    """Fixed CSV cell format: floats to 9 significant digits, None as nan,
-    strings as they are."""
-    if x is None:
-        return "nan"
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.9g}"
+def _csv_text(header: str, blocks: list[dict], comments=()) -> str:
+    """Comment lines, the header, then each block's rows in the header's column order.
 
-
-def _csv_text(header: str, rows: list[dict], comments=()) -> str:
-    """Comment lines, the header, then one line per row in the header's column order."""
-    columns = header.split(",")
-    lines = [*comments, header, *(",".join(_fmt(row[k]) for k in columns) for row in rows)]
+    A block maps a column to a list of floats (9 significant digits, None
+    as nan) or to `repeat` of a string; a list blocks share is formatted once.
+    """
+    cells: dict[int, list[str]] = {}  # id of a value list -> its cells
+    lines = [*comments, header]
+    for block in blocks:
+        for values in block.values():
+            if isinstance(values, list) and id(values) not in cells:
+                cells[id(values)] = ["nan" if x is None else "%.9g" % x for x in values]
+        table = (cells.get(id(v), v) for v in map(block.get, header.split(",")))
+        lines += map(",".join, zip(*table))
     return "\n".join(lines) + "\n"
+
+
+def _json_rows(blocks: list[dict]) -> list[dict]:
+    """Each block's rows as dicts in the block's column order (see `_csv_text`)."""
+    return [dict(zip(block, row)) for block in blocks for row in zip(*block.values())]
 
 
 def _json_text(payload) -> str:
@@ -219,19 +225,16 @@ def parse_config_file(path) -> tuple[str, RunConfig]:
     return _build(_read_config_file(path))
 
 
-def _curve_rows(config: RunConfig, empirical: RocCurve) -> list[dict]:
-    """Joined empirical/theory/exact rows, one per (mode, threshold).
+def _curve_blocks(config: RunConfig, empirical: RocCurve) -> list[dict]:
+    """Joined empirical/theory/exact columns, one block per theory mode.
 
-    Both theory modes are emitted; the mode column tags each row.  A
+    Both theory modes are emitted; the mode column tags each block.  A
     paper-literal H1 variance below zero leaves pd_theory as None (nan in
     CSV) for those rows — the negative variance is never patched over.
     """
-    exact = montecarlo.exact_h0_rates(config)
-    return [
-        {**row, "mode": mode.value}
-        for mode in (TheoryMode.CONSISTENT, TheoryMode.PAPER_LITERAL)
-        for row in montecarlo._joined_rows(config, empirical, mode, exact)[1]
-    ]
+    modes = (TheoryMode.CONSISTENT, TheoryMode.PAPER_LITERAL)
+    joined = montecarlo._joined_columns(config, empirical, modes)
+    return [{**columns, "mode": repeat(mode.value)} for mode, (_, columns) in zip(modes, joined)]
 
 
 def _resolve_configs(args) -> list[tuple[str, RunConfig]]:
@@ -276,8 +279,9 @@ def cmd_roc(args) -> int:
     outputs = []
     config_dicts = []
     for (label, config), empirical in zip(labeled, curves):
-        rows = _curve_rows(config, empirical)
-        text = _csv_text(CURVE_HEADER, rows) if args.format == "csv" else _json_text(rows)
+        blocks = _curve_blocks(config, empirical)
+        csv = args.format == "csv"
+        text = _csv_text(CURVE_HEADER, blocks) if csv else _json_text(_json_rows(blocks))
         outputs.append(_write(out_dir / f"{label}.{args.format}", text))
         config_dicts.append(montecarlo.config_to_dict(config, label=label))
 
@@ -315,18 +319,18 @@ def cmd_theory(args) -> int:
                     "mean": m.mean,
                     "variance": m.variance,
                 }
-        table = []
+        eta = config.thresholds.tolist()
+        blocks = []
         for mode in TheoryMode:
             pfa, pd, flag = analytic.gaussian_rates(params, mode, config.thresholds)
-            table.extend(
+            blocks.append(
                 {
-                    "eta": float(eta),
-                    "mode": mode.value,
-                    "pfa_theory": a,
-                    "pd_theory": b,
-                    "h1_variance_flag": _THEORY_FLAGS[flag],
+                    "eta": eta,
+                    "mode": repeat(mode.value),
+                    "pfa_theory": pfa,
+                    "pd_theory": pd,
+                    "h1_variance_flag": repeat(_THEORY_FLAGS[flag]),
                 }
-                for eta, a, b in zip(config.thresholds, pfa, pd)
             )
 
         if args.format == "json":
@@ -334,16 +338,16 @@ def cmd_theory(args) -> int:
                 "params": montecarlo.config_to_dict(config, label=label),
                 "scalars": scalars,
                 "moments": moment_block,
-                "rows": table,
+                "rows": _json_rows(blocks),
             }
             text = _json_text(payload)
         else:
-            comments = [f"# {name} = {_fmt(value)}" for name, value in scalars.items()]
+            comments = [f"# {name} = {value:.9g}" for name, value in scalars.items()]
             comments += [
-                f"# moments {name}: mean = {_fmt(m['mean'])}, variance = {_fmt(m['variance'])}"
+                f"# moments {name}: mean = {m['mean']:.9g}, variance = {m['variance']:.9g}"
                 for name, m in moment_block.items()
             ]
-            text = _csv_text(THEORY_HEADER, table, comments)
+            text = _csv_text(THEORY_HEADER, blocks, comments)
         _write(out_dir / f"{label}_theory.{args.format}", text)
     return EXIT_OK
 

@@ -98,3 +98,17 @@ def sweep_thresholds(params: ModelParams) -> np.ndarray:
     the two endpoints give the degenerate (1,1) and (0,0) ROC corners.
     """
     return np.arange(params.pairs_total + 2, dtype=float) - 0.5
+
+
+def threshold_violations(thresholds: np.ndarray) -> list[str]:
+    """The one rule for a threshold grid: one-dimensional, non-empty,
+    finite and strictly increasing.  Names the first part broken, if any."""
+    if thresholds.ndim != 1:
+        return [f"thresholds must be one-dimensional, got shape {thresholds.shape}"]
+    if len(thresholds) == 0:
+        return ["thresholds must be non-empty"]
+    if not np.all(np.isfinite(thresholds)):
+        return ["thresholds must be finite"]
+    if not np.all(np.diff(thresholds) > 0):
+        return ["thresholds must be strictly increasing"]
+    return []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,15 +76,7 @@ class RunConfig:
         problems = list(validate(self.params).violations)
         if not _is_int(self.trials) or self.trials < 1:
             problems.append(f"trials must be an integer >= 1, got {self.trials!r}")
-        if self.thresholds.ndim != 1:
-            shape = self.thresholds.shape
-            problems.append(f"thresholds must be one-dimensional, got shape {shape}")
-        elif len(self.thresholds) == 0:
-            problems.append("thresholds must be non-empty")
-        elif not np.all(np.isfinite(self.thresholds)):
-            problems.append("thresholds must be finite")
-        elif len(self.thresholds) >= 2 and not np.all(np.diff(self.thresholds) > 0):
-            problems.append("thresholds must be strictly increasing")
+        problems += detector.threshold_violations(self.thresholds)
         if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2**64:
             problems.append(f"master_seed must fit in 64 bits, got {self.master_seed!r}")
         return problems
@@ -416,23 +408,25 @@ def exact_hybrid_curve(config: RunConfig, empirical: RocCurve) -> RocCurve:
     )
 
 
-def _joined_rows(
-    config: RunConfig, empirical: RocCurve, mode: TheoryMode, exact: np.ndarray
-) -> tuple[str, list[dict]]:
-    """Empirical, Gaussian-theory and exact H0 rates, one row per threshold.
+def _joined_columns(
+    config: RunConfig, empirical: RocCurve, modes: tuple[TheoryMode, ...]
+) -> list[tuple[str, dict[str, list]]]:
+    """Empirical, Gaussian-theory and exact H0 rates as columns, per mode.
 
-    Returns the mode's H1 variance flag and rows keyed in the CSV column
-    order, ``pd_theory`` None where that variance is negative.  ``exact``
-    is ``exact_h0_rates(config)``, so a join over both modes computes it once.
+    Returns, for each mode, its H1 variance flag and the columns in the
+    CSV order, ``pd_theory`` all None where that variance is negative.
+    The mode-free columns (``eta``, both empirical rates and
+    ``pfa_exact``) are the same list objects in every mode's columns.
     """
     _require_same_grid(config, empirical)
-    pfa, pd, flag = analytic.gaussian_rates(config.params, mode, config.thresholds)
     keys = ("eta", "pfa_emp", "pd_emp", "pfa_theory", "pd_theory", "pfa_exact")
-    columns = zip(
-        config.thresholds.tolist(), empirical.pfa.tolist(), empirical.pd.tolist(),
-        pfa, pd, exact.tolist(),
-    )
-    return flag, [dict(zip(keys, row)) for row in columns]
+    shared = (config.thresholds, empirical.pfa, empirical.pd, exact_h0_rates(config))
+    eta, pfa_emp, pd_emp, exact = (a.tolist() for a in shared)
+    joined = []
+    for mode in modes:
+        pfa, pd, flag = analytic.gaussian_rates(config.params, mode, config.thresholds)
+        joined.append((flag, dict(zip(keys, (eta, pfa_emp, pd_emp, pfa, pd, exact)))))
+    return joined
 
 
 @dataclass(frozen=True)
@@ -489,8 +483,8 @@ def compare_theory(
     config.require_valid()
     if empirical is None:
         empirical = estimate_rates(config, workers)
-    flag, rows = _joined_rows(config, empirical, config.theory_mode, exact_h0_rates(config))
-    rows = tuple(ComparisonRow(**row, h1_flag=flag) for row in rows)
+    [(flag, c)] = _joined_columns(config, empirical, (config.theory_mode,))
+    rows = tuple(ComparisonRow(**dict(zip(c, row)), h1_flag=flag) for row in zip(*c.values()))
     p = analytic.agreement_prob(config.params).p
     return TheoryComparison(config=config, agreement_p=p, rows=rows)
 
@@ -508,7 +502,8 @@ class RunManifest:
     outputs: tuple[dict, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; ``json`` writes the tuples as lists."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def config_to_dict(config: RunConfig, label: str | None = None) -> dict:

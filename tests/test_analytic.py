@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bitsense.analytic import (
     H1_VARIANCE_NEGATIVE,
@@ -22,8 +22,9 @@ from bitsense.analytic import (
     q_function,
     theory_roc,
 )
-from bitsense.detector import decide
+from bitsense.detector import decide, sweep_thresholds
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams, NonPositiveDefiniteError
+from bitsense.montecarlo import RunConfig
 
 
 def make_params(n=20, num_sensors=1, sigma_s2=1.0, r=0.5, sigma2=1e-4):
@@ -353,6 +354,53 @@ def test_negative_paper_variance_gives_a_none_pd_per_threshold():
     assert flag == H1_VARIANCE_NEGATIVE
     assert pd == [None, None, None]
     assert len(pfa) == 3 and pfa[1] == 0.5
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    num_sensors=st.integers(1, 4),
+    r=st.one_of(st.just(0.0), st.floats(-0.45, 0.45)),
+    sigma2=st.floats(1e-4, 1.0),
+    mode=st.sampled_from(TheoryMode),
+    off_grid=st.lists(st.floats(-20.0, 300.0), min_size=1, max_size=40, unique=True),
+)
+@example(n=20, num_sensors=2, r=0.0, sigma2=1e-4, mode=TheoryMode.PAPER_LITERAL, off_grid=[19.0])
+@example(n=20, num_sensors=1, r=-0.3, sigma2=1e-4, mode=TheoryMode.PAPER_LITERAL, off_grid=[9.5])
+def test_gaussian_rates_are_the_scalar_tails_to_the_last_bit(
+    n, num_sensors, r, sigma2, mode, off_grid
+):
+    params = make_params(n=n, num_sensors=num_sensors, r=r, sigma2=sigma2)
+    direction = DetectorDirection.LESS_IS_H1 if r < 0 else DetectorDirection.GREATER_IS_H1
+    m0, m1 = (moments(params, h, mode) for h in (Hypothesis.H0, Hypothesis.H1))
+    for thresholds in (sweep_thresholds(params), sorted(off_grid)):
+        pfa, pd, _ = gaussian_rates(params, mode, thresholds)
+        assert pfa == [gaussian_tail(eta, m0.mean, m0.variance, direction) for eta in thresholds]
+        expected = [None] * len(thresholds)
+        if m1.variance >= 0:
+            expected = [gaussian_tail(eta, m1.mean, m1.variance, direction) for eta in thresholds]
+        assert pd == expected
+
+
+@pytest.mark.parametrize(
+    "thresholds, rule",
+    [
+        ([math.nan], "finite"),
+        ([9.5, math.inf], "finite"),
+        ([[9.5, 12.5]], "one-dimensional"),
+        (9.5, "one-dimensional"),
+        ([], "non-empty"),
+        ([12.5, 9.5], "strictly increasing"),
+    ],
+    ids=["nan", "inf", "2-D", "scalar", "empty", "decreasing"],
+)
+def test_theory_refuses_a_grid_that_breaks_the_one_threshold_rule(thresholds, rule):
+    params = make_params(r=0.4)
+    message = f"thresholds must be {rule}"
+    for build in (gaussian_rates, theory_roc):
+        with pytest.raises(ValueError, match=message):
+            build(params, TheoryMode.CONSISTENT, thresholds)
+    assert any(message in v for v in RunConfig(params, 1, thresholds=thresholds).violations())
 
 
 def test_negative_variance_message_is_unchanged():

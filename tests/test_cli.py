@@ -537,6 +537,38 @@ def test_roc_json_matches_the_recorded_sha256s(tmp_path):
     assert digests == RECORDED_JSON_SHA256
 
 
+#: sha256 of `roc --config` and `theory --config`, in CSV and JSON, on a
+#: long record (n = 300, N = 2, r = -0.5, 50 trials, seed 5): 600
+#: thresholds and a downward test.  Each manifest is masked at its
+#: wall-clock time.  Recorded before the tables were built as columns.
+#: Same platform caveats as RECORDED_SHA256.
+RECORDED_LONG_SHA256 = {
+    "csv/long.csv": "d5ed00de5bd115e0e90352aff7461ed3baf9172c492b384d7f05cad3b2acf966",
+    "csv/long_theory.csv": "5752a01da76bf0df338a777352ecb52355d86c5287e604e33aa1fc4d7c2a6388",
+    "csv/manifest.json": "f92498feafd5753608755580d32198d74c5ac6dde0f589a0a305a6ed0d054897",
+    "json/long.json": "f1cccab91524034579cf0e9815ef7f24e19ff5b5bdb056d8cc0705f4fbd409e8",
+    "json/long_theory.json": "0dea15952161ecd7e74c9e43c44e5125cc1cd50cdc2d594509ddd7717bc47841",
+    "json/manifest.json": "79f6868d97bd1028f0db6df7b9dac0e1dc6493554a63dc1ae17042df2a189421",
+}
+
+
+def test_long_record_outputs_match_the_recorded_sha256s(tmp_path):
+    import hashlib
+    import re
+
+    text = "n = 300\nnum_sensors = 2\nr = -0.5\ntrials = 50\nseed = 5\n"
+    cfg = write_config(tmp_path, text, "long.cfg")
+    digests = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        for command in ("roc", "theory"):
+            assert main([command, "--config", str(cfg), "--format", fmt, "--out", str(out)]) == 0
+        for path in out.iterdir():
+            text = re.sub(r'"wall_clock_s": [^,\n]+', '"wall_clock_s": null', path.read_text())
+            digests[f"{fmt}/{path.name}"] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == RECORDED_LONG_SHA256
+
+
 #: sha256 of the `validate --quick --seed 11` report and of the
 #: `roc --preset fig3 --trials 300 --seed 5` manifest with its wall-clock
 #: time masked, recorded before the empirical rates, the exact H0 oracle

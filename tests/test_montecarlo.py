@@ -16,7 +16,7 @@ from bitsense.analytic import (
     moments,
     theory_roc,
 )
-from bitsense.cli import _curve_rows, main, parse_config_file
+from bitsense.cli import _curve_blocks, _json_rows, main, parse_config_file
 from bitsense.curves import RocCurve, RocSource
 from bitsense.detector import direction_for, sweep_thresholds
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams
@@ -645,7 +645,7 @@ def test_compare_theory_rows_are_the_roc_rows_of_their_mode(tmp_path, text):
     cfg.write_text(text + "trials = 40\n")
     _, config = parse_config_file(cfg)
     empirical = estimate_rates(config)
-    rows = _curve_rows(config, empirical)
+    rows = _json_rows(_curve_blocks(config, empirical))
     exact = exact_h0_rates(config).tolist()
     for mode in TheoryMode:
         report = compare_theory(replace(config, theory_mode=mode), empirical=empirical)
