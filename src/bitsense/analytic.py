@@ -151,8 +151,10 @@ def agreement_prob(
     The two noisy samples being compared are jointly Gaussian with
     common variance sigma_s2 + sigma2 and covariance r; p is twice their
     positive-orthant probability, i.e. 1/2 + arcsin(rho)/pi in closed
-    form.  ``method`` selects the evaluation path.
+    form.  ``method`` selects the evaluation path.  Raises ValueError for
+    params that `model.validate` rejects.
     """
+    require_valid(params)
     c = params.sigma_s2 + params.sigma2
     if method is AgreementMethod.CLOSED_FORM:
         orthant = orthant_prob_closed(c, params.r, c)
@@ -181,8 +183,10 @@ def moments(
     agreement indicators are iid fair coins, so these match the exact
     binomial.  H1 differs by mode (see :class:`TheoryMode`); the
     paper-literal variance goes negative for p > 1/2 and is returned
-    as-is so the inconsistency stays visible.
+    as-is so the inconsistency stays visible.  Raises ValueError for
+    params that `model.validate` rejects.
     """
+    require_valid(params)
     if not isinstance(mode, TheoryMode):
         raise ValueError(f"unknown theory mode: {mode!r}")
     m = params.pairs_total
@@ -225,13 +229,12 @@ def gaussian_rates(params: ModelParams, mode: TheoryMode, thresholds):
     ``math.erfc``.  Raises ValueError for params that `model.validate`
     rejects and for a grid that breaks `detector.threshold_violations`.
     """
-    require_valid(params)
+    m0 = moments(params, Hypothesis.H0, mode)
+    m1 = moments(params, Hypothesis.H1, mode)
     thresholds = np.asarray(thresholds, dtype=float)
     problems = detector.threshold_violations(thresholds)
     if problems:
         raise ValueError("invalid thresholds: " + problems[0])
-    m0 = moments(params, Hypothesis.H0, mode)
-    m1 = moments(params, Hypothesis.H1, mode)
     direction = _direction_of(params.r)
 
     def tails(m: TheoryMoments) -> list[float]:
@@ -311,8 +314,10 @@ def exact_h0_tail(params: ModelParams, eta: float) -> float:
     read by `detector.firing_mass` as in ``montecarlo.exact_h0_rates``.
     Computed in integer arithmetic and rounded once at the end, so the
     value is correct to the last float digit.  eta = -inf gives 1.0 and
-    +inf gives 0.0; a NaN eta raises ValueError.
+    +inf gives 0.0; a NaN eta, or params that `model.validate` rejects,
+    raise ValueError.
     """
+    require_valid(params)
     if math.isnan(eta):
         raise ValueError("eta is NaN: the tail has no threshold to read")
     table = _exact_h0_tail_table(params.pairs_total)

@@ -255,14 +255,16 @@ def _resolve_configs(args) -> list[tuple[str, RunConfig]]:
 
 
 def _workers() -> int | None:
-    """BITSENSE_WORKERS as a worker count, None if unset; read before any output."""
+    """BITSENSE_WORKERS as a worker count, at most the usable CPUs, None if
+    unset; read before any output."""
     text = os.environ.get("BITSENSE_WORKERS")
     if text is None:
         return None
     try:
-        return int(text)
+        count = int(text)
     except ValueError:
         raise ConfigError(f"BITSENSE_WORKERS must be an integer, got {text!r}") from None
+    return min(count, montecarlo._usable_cpus())
 
 
 def cmd_roc(args) -> int:

@@ -7,6 +7,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import detector
+
 
 class RocSource(enum.Enum):
     EMPIRICAL = "empirical"
@@ -50,10 +52,11 @@ class RocCurve:
     def __post_init__(self):
         for name in ("eta", "pfa", "pd"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
-        if not (len(self.eta) == len(self.pfa) == len(self.pd)):
+        problems = detector.threshold_violations(self.eta)
+        if problems:
+            raise ValueError("invalid thresholds: " + problems[0])
+        if not (self.eta.shape == self.pfa.shape == self.pd.shape):
             raise ValueError("eta, pfa, pd must have equal length")
-        if len(self.eta) >= 2 and not np.all(np.diff(self.eta) > 0):
-            raise ValueError("thresholds must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.eta)

@@ -32,16 +32,7 @@ def statistic(bits) -> int:
         )
     if not ((arr == 0) | (arr == 1)).all():
         raise DimensionMismatchError("bit matrix entries must all be 0 or 1")
-    return int(agreement_counts(arr))
-
-
-def agreement_counts(bits: np.ndarray) -> np.ndarray:
-    """`statistic` over the last two axes of an (..., N, n) bit array.
-
-    Unchecked: shape and 0/1 entries are the caller's responsibility.
-    Returns int64 counts of shape ``bits.shape[:-2]``.
-    """
-    return sensor_counts(bits)[..., -1]
+    return int(sensor_counts(arr)[-1])
 
 
 def sensor_counts(bits: np.ndarray) -> np.ndarray:
@@ -49,7 +40,7 @@ def sensor_counts(bits: np.ndarray) -> np.ndarray:
 
     Column k of the (..., N) int64 result counts the agreements of
     sensors 0..k, so it is the statistic of the first k + 1 sensors.
-    Unchecked, like `agreement_counts`.
+    Unchecked: shape and 0/1 entries are the caller's responsibility.
     """
     return np.cumsum(np.sum(bits[..., 1:] == bits[..., :-1], axis=-1), axis=-1)
 

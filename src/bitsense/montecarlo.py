@@ -192,6 +192,14 @@ def _run_sweep_trials(
 DRAWS_PER_WORKER = 2**19
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _worker_count(workers: int | None, draws: int) -> int:
     """The number of workers a sweep of ``draws`` normals runs on.
 
@@ -200,11 +208,7 @@ def _worker_count(workers: int | None, draws: int) -> int:
     get processes of their own is `_fork_map`'s rule, not this one's.
     """
     if workers is None:
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # no CPU affinity on this platform
-            cpus = os.cpu_count() or 1
-        workers = min(cpus, draws // DRAWS_PER_WORKER)
+        workers = min(_usable_cpus(), draws // DRAWS_PER_WORKER)
     return max(1, workers)
 
 
@@ -380,8 +384,10 @@ def exact_h0_rates(config: RunConfig) -> np.ndarray:
     P(Y >= ceil(eta)) straight off it, correct to the last float digit.
     The downward test takes 1 - P(Y >= floor(eta) + 1), which loses all
     probability below about 1e-16 to cancellation: small lower-tail
-    values lose digits or flush to 0.
+    values lose digits or flush to 0.  Raises ValueError for a config
+    that `RunConfig.require_valid` rejects.
     """
+    config.require_valid()
     tail = analytic._exact_h0_tail_table(config.params.pairs_total)
     return detector.firing_mass(tail, config.thresholds, config.direction)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bitsense.analytic import (
     H1_VARIANCE_NEGATIVE,
@@ -22,9 +23,10 @@ from bitsense.analytic import (
     q_function,
     theory_roc,
 )
+from bitsense.curves import RocCurve, RocSource
 from bitsense.detector import decide, sweep_thresholds
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams, NonPositiveDefiniteError
-from bitsense.montecarlo import RunConfig
+from bitsense.montecarlo import RunConfig, exact_h0_rates
 
 
 def make_params(n=20, num_sensors=1, sigma_s2=1.0, r=0.5, sigma2=1e-4):
@@ -401,6 +403,78 @@ def test_theory_refuses_a_grid_that_breaks_the_one_threshold_rule(thresholds, ru
         with pytest.raises(ValueError, match=message):
             build(params, TheoryMode.CONSISTENT, thresholds)
     assert any(message in v for v in RunConfig(params, 1, thresholds=thresholds).violations())
+
+
+def curve_at(eta) -> RocCurve:
+    eta = np.asarray(eta, dtype=float)
+    zeros = np.zeros_like(eta)
+    return RocCurve(eta=eta, pfa=zeros, pd=zeros, source=RocSource.EMPIRICAL)
+
+
+@pytest.mark.parametrize(
+    "build, rule",
+    [
+        (lambda: curve_at([math.nan]), "thresholds must be finite"),
+        (lambda: curve_at([[1.0, 2.0]]), "thresholds must be one-dimensional"),
+        (lambda: curve_at([]), "thresholds must be non-empty"),
+        (lambda: curve_at([-math.inf, 1.0]), "thresholds must be finite"),
+        (
+            lambda: exact_h0_rates(RunConfig(make_params(n=4), 1, thresholds=[0.5, math.nan, 3.5])),
+            "thresholds must be finite",
+        ),
+        (
+            lambda: exact_h0_rates(RunConfig(make_params(n=4), 1, thresholds=[3.5, 0.5])),
+            "thresholds must be strictly increasing",
+        ),
+        (lambda: exact_h0_rates(RunConfig(make_params(n=1), 1)), "n must be an integer >= 2"),
+        (lambda: exact_h0_tail(make_params(n=1), 0.5), "n must be an integer >= 2"),
+        (lambda: exact_h0_tail(make_params(n=-3), 0.5), "n must be an integer >= 2"),
+        (
+            lambda: moments(make_params(r=0.9), Hypothesis.H1),
+            "source covariance not positive definite",
+        ),
+        (lambda: agreement_prob(make_params(r=0.9)), "source covariance not positive definite"),
+    ],
+    ids=[
+        "curve-nan", "curve-2-D", "curve-empty", "curve-inf",
+        "exact-rates-nan", "exact-rates-decreasing", "exact-rates-n=1",
+        "exact-tail-n=1", "exact-tail-n=-3", "moments-not-pd", "agreement-not-pd",
+    ],
+)
+def test_every_public_edge_refuses_what_its_rule_refuses(build, rule):
+    with pytest.raises(ValueError, match=rule):
+        build()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=st.one_of(
+        hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)),
+        st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8, unique=True).map(sorted),
+        st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=8).map(
+            lambda xs: sorted(xs, reverse=True)
+        ),
+    )
+)
+@example(grid=[math.nan])
+@example(grid=[9.5, math.inf])
+@example(grid=[-math.inf, 1.0])
+@example(grid=[[9.5, 12.5]])
+@example(grid=[])
+@example(grid=[9.5, 9.5])
+@example(grid=[12.5, 9.5])
+@example(grid=[9.5, 12.5])
+def test_curves_configs_and_theory_refuse_the_same_grids(grid):
+    params = make_params(r=0.4)
+    problems = RunConfig(params, 1, thresholds=grid).violations()
+    expected = [f"invalid thresholds: {p}" for p in problems[:1]]
+    for build in (curve_at, lambda g: theory_roc(params, TheoryMode.CONSISTENT, g)):
+        try:
+            build(grid)
+            refused = []
+        except ValueError as exc:
+            refused = [str(exc)]
+        assert refused == expected
 
 
 def test_negative_variance_message_is_unchanged():

@@ -780,11 +780,38 @@ def test_validate_makes_seven_engine_calls_of_its_trial_count(tmp_path, monkeypa
         return simulate(config, hypothesis, workers)
 
     monkeypatch.setattr(bitsense.montecarlo, "simulate_statistics", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.setenv("BITSENSE_WORKERS", "3")
     argv = ["validate", "--quick", "--trials", "40", "--out", str(tmp_path / "report.json")]
     assert main(argv) == 0
     h0, h1 = bitsense.Hypothesis.H0, bitsense.Hypothesis.H1
     assert calls == [(40, h0, 3)] * 5 + [(40, h1, 1), (40, h1, 2)]
+
+
+def test_the_workers_env_var_is_capped_at_the_usable_cpus(tmp_path, monkeypatch, fake_pool):
+    import hashlib
+
+    seen = []
+    count = bitsense.montecarlo._worker_count
+
+    def spy(workers, draws):
+        seen.append(workers)
+        return count(workers, draws)
+
+    monkeypatch.setattr(bitsense.montecarlo, "_worker_count", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("BITSENSE_WORKERS", "64")
+    out = tmp_path / "out"
+    argv = ["roc", "--preset", "fig3", "--trials", "300", "--seed", "5", "--format", "json"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert seen == [2]
+    assert fake_pool == [(2, 4)]
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.iterdir()
+        if path.name != "manifest.json"
+    }
+    assert digests == RECORDED_JSON_SHA256
 
 
 @pytest.mark.parametrize("command", ["roc", "theory"])

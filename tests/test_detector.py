@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 
 from bitsense.detector import (
     DimensionMismatchError,
-    agreement_counts,
     decide,
     direction_for,
     firing_mass,
@@ -74,12 +73,6 @@ class TestStatistic:
     def test_bounds(self, bits):
         rows, cols = bits.shape
         assert 0 <= statistic(bits) <= (cols - 1) * rows
-
-    @given(bit_batches)
-    def test_agreement_counts_matches_statistic_per_matrix(self, batch):
-        counts = agreement_counts(batch)
-        assert counts.shape == (len(batch),)
-        assert counts.tolist() == [statistic(bits) for bits in batch]
 
     @given(bit_batches)
     def test_sensor_counts_are_the_statistics_of_the_first_sensors(self, batch):

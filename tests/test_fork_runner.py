@@ -251,6 +251,8 @@ def a_live_thread(monkeypatch):
 
 @pytest.mark.parametrize("workers", ["2", "3"])
 def test_forked_roc_json_matches_the_recorded_sha256s(tmp_path, monkeypatch, workers):
+    # four usable CPUs, so the CLI's cap keeps each count on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.setenv("BITSENSE_WORKERS", workers)
     out = tmp_path / "out"
     argv = ["roc", "--preset", "fig3", "--trials", "300", "--seed", "5", "--format", "json"]

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 from dataclasses import replace
 
@@ -740,6 +741,7 @@ class TestOneTaskList:
             assert a.pfa.tolist() == b.pfa.tolist() and a.pd.tolist() == b.pd.tolist()
 
     def test_the_fig3_preset_forks_once(self, fake_pool, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setenv("BITSENSE_WORKERS", "2")
         argv = ["roc", "--preset", "fig3", "--trials", "300", "--out", str(tmp_path / "out")]
         assert main(argv) == 0

@@ -1,10 +1,12 @@
-"""The distribution's metadata names the package it installs."""
+"""The distribution's metadata names the package it installs and takes
+its version from it."""
 
 import importlib
 from pathlib import Path
 
 import pytest
 
+import bitsense
 from bitsense.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -16,3 +18,9 @@ def test_the_distribution_and_its_script_are_named_bitsense():
     assert project["name"] == "bitsense"
     module, _, name = project["scripts"]["bitsense"].partition(":")
     assert getattr(importlib.import_module(module), name) is main
+
+
+def test_the_distribution_version_is_the_package_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    config = pyprojecttoml.read_configuration(PYPROJECT, expand=True)
+    assert config["project"]["version"] == bitsense.__version__
