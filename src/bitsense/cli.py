@@ -70,15 +70,14 @@ def _csv_text(header: str, blocks: list[dict], comments=()) -> str:
     """Comment lines, the header, then each block's rows in the header's column order.
 
     A block maps a column to a list of floats (9 significant digits, None
-    as nan) or to `repeat` of a string; a list blocks share is formatted once.
+    as nan) or to `repeat` of a string.
     """
-    cells: dict[int, list[str]] = {}  # id of a value list -> its cells
     lines = [*comments, header]
     for block in blocks:
-        for values in block.values():
-            if isinstance(values, list) and id(values) not in cells:
-                cells[id(values)] = ["nan" if x is None else "%.9g" % x for x in values]
-        table = (cells.get(id(v), v) for v in map(block.get, header.split(",")))
+        table = (
+            ["nan" if x is None else "%.9g" % x for x in v] if isinstance(v, list) else v
+            for v in map(block.get, header.split(","))
+        )
         lines += map(",".join, zip(*table))
     return "\n".join(lines) + "\n"
 
@@ -255,16 +254,15 @@ def _resolve_configs(args) -> list[tuple[str, RunConfig]]:
 
 
 def _workers() -> int | None:
-    """BITSENSE_WORKERS as a worker count, at most the usable CPUs, None if
-    unset; read before any output."""
+    """BITSENSE_WORKERS as a worker count, None if unset; read before any
+    output.  `montecarlo._worker_count` caps it, as it caps every count."""
     text = os.environ.get("BITSENSE_WORKERS")
     if text is None:
         return None
     try:
-        count = int(text)
+        return int(text)
     except ValueError:
         raise ConfigError(f"BITSENSE_WORKERS must be an integer, got {text!r}") from None
-    return min(count, montecarlo._usable_cpus())
 
 
 def cmd_roc(args) -> int:
@@ -314,6 +312,8 @@ def cmd_theory(args) -> int:
             "rho": agreement.rho,
         }
         moment_block = {}
+        eta = config.thresholds.tolist()
+        blocks = []
         for mode in TheoryMode:
             for hyp in Hypothesis:
                 m = analytic.moments(params, hyp, mode)
@@ -321,9 +321,6 @@ def cmd_theory(args) -> int:
                     "mean": m.mean,
                     "variance": m.variance,
                 }
-        eta = config.thresholds.tolist()
-        blocks = []
-        for mode in TheoryMode:
             pfa, pd, flag = analytic.gaussian_rates(params, mode, config.thresholds)
             blocks.append(
                 {

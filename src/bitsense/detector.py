@@ -77,7 +77,8 @@ def firing_mass(upper: np.ndarray, thresholds, direction: DetectorDirection) -> 
 
 
 def direction_for(params: ModelParams) -> DetectorDirection:
-    """Test direction for a parameter set; r = 0 is a construction error."""
+    """Test direction for a parameter set; r = 0 is a construction error:
+    its informative test is two-sided (`DetectorDirection.from_correlation`)."""
     return DetectorDirection.from_correlation(params.r)
 
 

@@ -37,10 +37,10 @@ class DetectorDirection(enum.Enum):
         """Direction implied by the sign of the lag-1 covariance.
 
         ``r = 0`` and NaN are rejected, each with its own message, because
-        neither has a sign to give a direction.  The count is not
-        uninformative at r = 0 for N >= 2 (the shared source inflates
-        Var(Y | H1)); ``RunConfig.direction`` runs r = 0 with the upward
-        convention.
+        neither has a sign to give a direction.  At r = 0 with N >= 2 the
+        mean of Y is the same under both hypotheses and Var(Y | H1) is
+        about N times larger, so the informative test is two-sided;
+        ``RunConfig.direction`` runs r = 0 with the upward convention.
         """
         if math.isnan(r):
             raise ValueError("r is NaN: a NaN correlation has no sign, so no test direction")

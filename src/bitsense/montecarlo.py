@@ -79,6 +79,8 @@ class RunConfig:
         problems += detector.threshold_violations(self.thresholds)
         if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2**64:
             problems.append(f"master_seed must fit in 64 bits, got {self.master_seed!r}")
+        if not isinstance(self.theory_mode, TheoryMode):
+            problems.append(f"theory_mode must be a TheoryMode, got {self.theory_mode!r}")
         return problems
 
     def require_valid(self) -> None:
@@ -201,15 +203,15 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(workers: int | None, draws: int) -> int:
-    """The number of workers a sweep of ``draws`` normals runs on.
-
-    ``workers`` if given, else one worker per DRAWS_PER_WORKER normals,
-    at most the usable CPUs; a count below 1 is 1.  Whether the workers
-    get processes of their own is `_fork_map`'s rule, not this one's.
+    """The number of workers a sweep of ``draws`` normals runs on, and the
+    one cap on a count: ``workers``, or if None one per DRAWS_PER_WORKER
+    normals up to the usable CPUs, kept in [1, max(2, usable CPUs)], so a
+    2-worker run still splits on one CPU.  Forking is `_fork_map`'s rule.
     """
+    cpus = _usable_cpus()
     if workers is None:
-        workers = min(_usable_cpus(), draws // DRAWS_PER_WORKER)
-    return max(1, workers)
+        workers = min(cpus, draws // DRAWS_PER_WORKER)
+    return max(1, min(workers, max(2, cpus)))
 
 
 def _run_share(share: list[tuple], w: int, write_fd: int, inherited: list[int]) -> None:
@@ -294,9 +296,9 @@ def _simulate(
     has trials, so every share has trials; share w holds range w of each
     group's trials, and one `_fork_map` call runs the shares.  Each job's
     statistics are its group's ranges joined in order, so the result is
-    identical for any worker count.  `_worker_count` sets the count from
-    ``workers`` or, if it is None, from the normals the call draws (each
-    group's trials times its widest draw); ``workers=1`` stays in process.
+    identical for any worker count.  `_worker_count` sets the count, at
+    most ``max(2, usable CPUs)``, from ``workers`` or, if it is None, from
+    the call's normals (each group's trials times its widest draw).
     """
     for config, _ in jobs:
         config.require_valid()
@@ -421,8 +423,6 @@ def _joined_columns(
 
     Returns, for each mode, its H1 variance flag and the columns in the
     CSV order, ``pd_theory`` all None where that variance is negative.
-    The mode-free columns (``eta``, both empirical rates and
-    ``pfa_exact``) are the same list objects in every mode's columns.
     """
     _require_same_grid(config, empirical)
     keys = ("eta", "pfa_emp", "pd_emp", "pfa_theory", "pd_theory", "pfa_exact")

@@ -21,3 +21,14 @@ def fake_pool(monkeypatch):
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(montecarlo, "_fork_map", recorded)
     return calls
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes the engine see n usable CPUs, so the cap of
+    `montecarlo._worker_count` is the same on any host."""
+
+    def pin(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return pin

@@ -26,7 +26,7 @@ from bitsense.analytic import (
 from bitsense.curves import RocCurve, RocSource
 from bitsense.detector import decide, sweep_thresholds
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams, NonPositiveDefiniteError
-from bitsense.montecarlo import RunConfig, exact_h0_rates
+from bitsense.montecarlo import RunConfig, compare_theory, exact_h0_rates
 
 
 def make_params(n=20, num_sensors=1, sigma_s2=1.0, r=0.5, sigma2=1e-4):
@@ -434,11 +434,26 @@ def curve_at(eta) -> RocCurve:
             "source covariance not positive definite",
         ),
         (lambda: agreement_prob(make_params(r=0.9)), "source covariance not positive definite"),
+        (
+            lambda: RocCurve(eta=[0.5, 1.5], pfa=[1.0], pd=[1.0, 0.0], source=RocSource.EMPIRICAL),
+            "eta, pfa, pd must have equal length",
+        ),
+        (
+            lambda: RocCurve(eta=[0.5, 1.5], pfa=0.5, pd=[1.0, 0.0], source=RocSource.EMPIRICAL),
+            "eta, pfa, pd must have equal length",
+        ),
+        (
+            lambda: compare_theory(
+                RunConfig(make_params(), 1, trials=50, theory_mode="consistent")
+            ),
+            "theory_mode must be a TheoryMode, got 'consistent'",
+        ),
     ],
     ids=[
         "curve-nan", "curve-2-D", "curve-empty", "curve-inf",
         "exact-rates-nan", "exact-rates-decreasing", "exact-rates-n=1",
         "exact-tail-n=1", "exact-tail-n=-3", "moments-not-pd", "agreement-not-pd",
+        "curve-short-pfa", "curve-scalar-pfa", "config-mode-str",
     ],
 )
 def test_every_public_edge_refuses_what_its_rule_refuses(build, rule):

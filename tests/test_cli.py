@@ -769,7 +769,9 @@ def test_validate_runs_one_two_worker_pool_at_any_trial_count(tmp_path, monkeypa
     assert fake_pool == [(2, 2)]
 
 
-def test_validate_makes_seven_engine_calls_of_its_trial_count(tmp_path, monkeypatch, fake_pool):
+def test_validate_makes_seven_engine_calls_of_its_trial_count(
+    tmp_path, monkeypatch, fake_pool, cpus
+):
     # benchmarks/ reads validate's call and trial counts (7 and 7 x 40)
     # through these calls
     calls = []
@@ -780,7 +782,7 @@ def test_validate_makes_seven_engine_calls_of_its_trial_count(tmp_path, monkeypa
         return simulate(config, hypothesis, workers)
 
     monkeypatch.setattr(bitsense.montecarlo, "simulate_statistics", counted)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    cpus(4)
     monkeypatch.setenv("BITSENSE_WORKERS", "3")
     argv = ["validate", "--quick", "--trials", "40", "--out", str(tmp_path / "report.json")]
     assert main(argv) == 0
@@ -788,7 +790,7 @@ def test_validate_makes_seven_engine_calls_of_its_trial_count(tmp_path, monkeypa
     assert calls == [(40, h0, 3)] * 5 + [(40, h1, 1), (40, h1, 2)]
 
 
-def test_the_workers_env_var_is_capped_at_the_usable_cpus(tmp_path, monkeypatch, fake_pool):
+def test_the_workers_env_var_is_capped_at_the_usable_cpus(tmp_path, monkeypatch, fake_pool, cpus):
     import hashlib
 
     seen = []
@@ -799,12 +801,13 @@ def test_the_workers_env_var_is_capped_at_the_usable_cpus(tmp_path, monkeypatch,
         return count(workers, draws)
 
     monkeypatch.setattr(bitsense.montecarlo, "_worker_count", spy)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cpus(2)
     monkeypatch.setenv("BITSENSE_WORKERS", "64")
     out = tmp_path / "out"
     argv = ["roc", "--preset", "fig3", "--trials", "300", "--seed", "5", "--format", "json"]
     assert main(argv + ["--out", str(out)]) == 0
-    assert seen == [2]
+    # the CLI passes the count on as given; the engine caps it at two shares
+    assert seen == [64]
     assert fake_pool == [(2, 4)]
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()

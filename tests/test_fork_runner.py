@@ -25,14 +25,16 @@ from test_cli import RECORDED_JSON_SHA256
 
 SRC = str(Path(bitsense.__file__).resolve().parents[1])
 
-#: Shared start of every scenario script: a tiny config, and the pid of
-#: the process that runs share 0.
+#: Shared start of every scenario script: three usable CPUs, so that
+#: ``workers=3`` makes three shares on any host, a tiny config, and the
+#: pid of the process that runs share 0.
 PREAMBLE = """\
 import os, sys
 import numpy as np
 from bitsense import montecarlo
 from bitsense.model import Hypothesis, ModelParams
 
+os.sched_getaffinity = lambda pid: {0, 1, 2}
 PARENT = os.getpid()
 params = ModelParams(n=4, num_sensors=1, sigma_s2=1.0, r=0.5, sigma2=1e-4)
 config = montecarlo.RunConfig(params, master_seed=1, trials=8)
@@ -167,9 +169,9 @@ class TestDefaultWorkerCount:
     usable CPUs (four here)."""
 
     @pytest.fixture(autouse=True)
-    def four_cpus(self, monkeypatch):
+    def four_cpus(self, monkeypatch, cpus):
         monkeypatch.delenv("BITSENSE_WORKERS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        cpus(4)
 
     def test_a_large_draw_takes_one_worker_per_share(self, fake_pool):
         # 20000 trials x 80 normals = 1.6M draws: three workers
@@ -199,9 +201,13 @@ class TestDefaultWorkerCount:
         simulate_sweep([h1_config(20000)], Hypothesis.H1, workers=2)
         assert fake_pool == [(2, 2)]
 
-    def test_an_explicit_count_splits_off_no_share_without_trials(self, fake_pool, monkeypatch):
-        # eight workers on groups of 5 and 2 trials: five shares, each with
-        # a trial of the larger group; the smaller group's range may be empty
+    def test_an_explicit_count_splits_off_no_share_without_trials(
+        self, fake_pool, monkeypatch, cpus
+    ):
+        # eight workers on eight CPUs, groups of 5 and 2 trials: five shares,
+        # each with a trial of the larger group; the smaller group's range
+        # may be empty
+        cpus(8)
         configs = [h1_config(5), h1_config(2)]
         serial = simulate_sweep(configs, Hypothesis.H1, workers=1)
         ranges = ranges_run_in_process(monkeypatch)
@@ -216,6 +222,31 @@ class TestDefaultWorkerCount:
         with a_live_thread(monkeypatch):
             (y,) = simulate_sweep([h1_config(2000)], Hypothesis.H1, workers=2)
         assert y.tolist() == serial.tolist()
+
+
+class TestOneCap:
+    """Every count, from ``workers=``, BITSENSE_WORKERS or the default, is
+    at most max(2, usable CPUs): a huge count forks no child per trial,
+    and a 2-worker run still splits on one CPU."""
+
+    def test_a_huge_count_runs_on_the_usable_cpus(self, fake_pool, cpus):
+        cpus(2)
+        montecarlo.simulate_statistics(h1_config(20), Hypothesis.H1, workers=64)
+        assert fake_pool == [(2, 2)]
+
+    def test_a_huge_count_runs_a_sweep_on_the_usable_cpus(self, fake_pool, cpus):
+        cpus(2)
+        montecarlo.estimate_sweep([h1_config(20)], workers=64)
+        # one group per hypothesis, each split into two ranges
+        assert fake_pool == [(2, 4)]
+
+    @pytest.mark.parametrize("workers", [64, 2])
+    def test_one_cpu_still_splits_in_two(self, fake_pool, cpus, workers):
+        cpus(1)
+        serial = montecarlo.simulate_statistics(h1_config(20), Hypothesis.H1, workers=1)
+        pooled = montecarlo.simulate_statistics(h1_config(20), Hypothesis.H1, workers=workers)
+        assert fake_pool == [(2, 2)]
+        assert pooled.tolist() == serial.tolist()
 
 
 def ranges_run_in_process(monkeypatch) -> list[tuple[int, int]]:
@@ -250,9 +281,9 @@ def a_live_thread(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", ["2", "3"])
-def test_forked_roc_json_matches_the_recorded_sha256s(tmp_path, monkeypatch, workers):
-    # four usable CPUs, so the CLI's cap keeps each count on any host
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+def test_forked_roc_json_matches_the_recorded_sha256s(tmp_path, monkeypatch, cpus, workers):
+    # four usable CPUs, so the engine's cap keeps each count on any host
+    cpus(4)
     monkeypatch.setenv("BITSENSE_WORKERS", workers)
     out = tmp_path / "out"
     argv = ["roc", "--preset", "fig3", "--trials", "300", "--seed", "5", "--format", "json"]

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import re
 from dataclasses import replace
 
@@ -354,6 +353,7 @@ class TestCompareTheory:
         report = compare_theory(config)
         assert all(r.h1_flag == "ok" for r in report.rows)
         assert all(r.pd_theory is not None for r in report.rows)
+        assert all(r.dev_pd_emp_theory == abs(r.pd_emp - r.pd_theory) for r in report.rows)
         assert report.agreement_p == pytest.approx(0.6666482912, abs=1e-6)
 
     def test_zero_correlation_paper_mode_reports_zero_variance(self):
@@ -723,8 +723,9 @@ class TestOneTaskList:
         assert [y.tolist() for y in pooled] == [y.tolist() for y in serial]
 
     @pytest.mark.parametrize("workers", [2, 5, 50])
-    def test_a_tiny_run_still_uses_the_pool(self, fake_pool, workers):
+    def test_a_tiny_run_still_uses_the_pool(self, fake_pool, cpus, workers):
         # three trials make at most three shares, one trial or more in each
+        cpus(4)
         config = make_config(trials=3)
         serial = simulate_statistics(config, Hypothesis.H1, workers=1)
         pooled = simulate_statistics(config, Hypothesis.H1, workers=workers)
@@ -740,8 +741,8 @@ class TestOneTaskList:
         for a, b in zip(pooled, serial):
             assert a.pfa.tolist() == b.pfa.tolist() and a.pd.tolist() == b.pd.tolist()
 
-    def test_the_fig3_preset_forks_once(self, fake_pool, monkeypatch, tmp_path):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    def test_the_fig3_preset_forks_once(self, fake_pool, cpus, monkeypatch, tmp_path):
+        cpus(4)
         monkeypatch.setenv("BITSENSE_WORKERS", "2")
         argv = ["roc", "--preset", "fig3", "--trials", "300", "--out", str(tmp_path / "out")]
         assert main(argv) == 0
