@@ -386,9 +386,8 @@ def run_validation_suite(trials: int, master_seed: int, workers: int | None) -> 
     # p-value is below 2*Phi(-3*sqrt(5)) ~ 1.97e-11, the level of a
     # 3-sigma band on one run's rate.  The test is exact because at the
     # end thresholds q = 2**-19, where a normal band is narrower than one
-    # firing.
-    from scipy.special import bdtr, bdtrc
-
+    # firing.  `analytic._binomial_tails` is within 1e-8 (relative) of the
+    # exact tails, so only a p that close to the level could flip.
     level = math.erfc(3.0 * math.sqrt(2.5))
     pooled = 5 * trials
     m = config.params.pairs_total
@@ -399,7 +398,7 @@ def run_validation_suite(trials: int, master_seed: int, workers: int | None) -> 
         upper += detector.upper_counts(stats, m)
     fired = detector.firing_mass(upper, config.thresholds, config.direction)
     exact = montecarlo.exact_h0_rates(config)
-    tails = np.minimum(bdtr(fired, pooled, exact), bdtrc(fired - 1, pooled, exact))
+    tails = np.minimum(*analytic._binomial_tails(fired, pooled, exact))
     p = np.minimum(1.0, 2.0 * tails)
     j = int(np.argmin(p))
     checks.append(

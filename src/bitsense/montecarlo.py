@@ -513,7 +513,9 @@ class RunManifest:
 
 
 def config_to_dict(config: RunConfig, label: str | None = None) -> dict:
-    """Flat echo of a RunConfig, sufficient for bit-exact replay."""
+    """Flat echo of a RunConfig, sufficient for bit-exact replay; a config
+    that breaks `RunConfig.require_valid` raises ValueError."""
+    config.require_valid()
     d = {
         "n": config.params.n,
         "num_sensors": config.params.num_sensors,

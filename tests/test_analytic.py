@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from bitsense.analytic import (
     H1_VARIANCE_NEGATIVE,
     AgreementMethod,
+    _binomial_tails,
     _exact_h0_tail_table,
     NegativeVarianceError,
     TheoryMode,
@@ -26,7 +27,7 @@ from bitsense.analytic import (
 from bitsense.curves import RocCurve, RocSource
 from bitsense.detector import decide, sweep_thresholds
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams, NonPositiveDefiniteError
-from bitsense.montecarlo import RunConfig, compare_theory, exact_h0_rates
+from bitsense.montecarlo import RunConfig, compare_theory, config_to_dict, exact_h0_rates
 
 
 def make_params(n=20, num_sensors=1, sigma_s2=1.0, r=0.5, sigma2=1e-4):
@@ -103,12 +104,14 @@ class TestOrthant:
             )
 
     def test_closed_vs_quadrature_grid(self):
-        for rho in (-0.49, -0.25, 0.0, 0.1, 0.25, 0.49):
+        # +-0.999 and +-(1 - 1e-12) need the panels split toward 0
+        near_one = (0.999, 1.0 - 1e-12)
+        for rho in (-0.49, -0.25, 0.0, 0.1, 0.25, 0.49, *near_one, *(-x for x in near_one)):
             for sigma2 in (1e-4, 1e-2, 1.0):
                 c = 1.0 + sigma2
                 closed = orthant_prob_closed(c, rho * c, c)
                 quad = orthant_prob_quadrature(c, rho * c, c)
-                assert abs(closed - quad) <= 5e-7
+                assert abs(closed - quad) <= 1e-12, rho
 
     def test_not_positive_definite(self):
         with pytest.raises(NonPositiveDefiniteError):
@@ -344,6 +347,25 @@ class TestExactH0Tail:
         assert exact_h0_tail(make_params(), math.inf) == 0.0
 
 
+@pytest.mark.parametrize("n", [200, 10_000, 100_000])
+def test_binomial_tails_match_scipy(n):
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(n)
+    qs = [0.0, 2.0**-19, 0.5, 0.9, 1.0 - 2.0**-19, 1.0, *rng.random(4).tolist()]
+    for q in qs:
+        spread = math.sqrt(n * q * (1.0 - q))
+        ks = np.unique(np.clip(np.rint(n * q + spread * np.arange(-40, 41, 4)), 0, n))
+        ks = np.union1d(ks, [0, 1, n - 1, n]).astype(np.int64)
+        lower, upper = _binomial_tails(ks, n, np.full(len(ks), q))
+        for mine, exact in (
+            (lower, special.bdtr(ks, n, q)),
+            (upper, special.bdtrc(ks - 1, n, q)),
+        ):
+            big = exact > 1e-290
+            assert np.all(np.abs(mine[big] - exact[big]) <= 1e-8 * exact[big]), q
+            assert np.all(mine[~big] <= 1e-290), q
+
+
 @pytest.mark.parametrize("direction", list(DetectorDirection))
 def test_zero_variance_tail_is_the_detector_decision(direction):
     for eta in (4.5, 5.0, 5.5):
@@ -448,12 +470,25 @@ def curve_at(eta) -> RocCurve:
             ),
             "theory_mode must be a TheoryMode, got 'consistent'",
         ),
+        (
+            lambda: config_to_dict(RunConfig(make_params(), 1, theory_mode="consistent")),
+            "theory_mode must be a TheoryMode, got 'consistent'",
+        ),
+        (
+            lambda: config_to_dict(RunConfig(make_params(), 1, trials=0)),
+            "trials must be an integer >= 1, got 0",
+        ),
+        (
+            lambda: config_to_dict(RunConfig(make_params(), -1)),
+            "master_seed must fit in 64 bits, got -1",
+        ),
     ],
     ids=[
         "curve-nan", "curve-2-D", "curve-empty", "curve-inf",
         "exact-rates-nan", "exact-rates-decreasing", "exact-rates-n=1",
         "exact-tail-n=1", "exact-tail-n=-3", "moments-not-pd", "agreement-not-pd",
         "curve-short-pfa", "curve-scalar-pfa", "config-mode-str",
+        "echo-mode-str", "echo-trials=0", "echo-seed=-1",
     ],
 )
 def test_every_public_edge_refuses_what_its_rule_refuses(build, rule):

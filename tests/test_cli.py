@@ -303,20 +303,23 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
 
 
-def test_building_the_cli_does_not_import_scipy():
-    # scipy costs most of start-up; only the orthant quadrature needs it
+def test_building_the_cli_does_not_import_scipy(tmp_path):
+    # numpy is the only runtime dependency: scipy would cost most of start-up
     src = str(Path(bitsense.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys\n"
-        "from bitsense import cli\n"
-        "cli.build_parser()\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == "[]"
+    report = tmp_path / "report.json"
+    for run in ("cli.build_parser()", f"cli.main(['validate', '--quick', '--out', {str(report)!r}])"):
+        code = (
+            "import sys\n"
+            "from bitsense import cli\n"
+            f"{run}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
+    assert json.loads(report.read_text())["all_passed"]
 
 
 class TestOverrides:
