@@ -25,6 +25,7 @@ from .model import (
     ModelParams,
     NonPositiveDefiniteError,
     _direction_of,
+    _require_member,
     require_valid,
 )
 
@@ -168,9 +169,11 @@ def agreement_prob(
     common variance sigma_s2 + sigma2 and covariance r; p is twice their
     positive-orthant probability, i.e. 1/2 + arcsin(rho)/pi in closed
     form.  ``method`` selects the evaluation path.  Raises ValueError for
-    params that `model.validate` rejects.
+    params that `model.validate` rejects and a method that is not an
+    :class:`AgreementMethod`.
     """
     require_valid(params)
+    _require_member(method, AgreementMethod, "method")
     c = params.sigma_s2 + params.sigma2
     if method is AgreementMethod.CLOSED_FORM:
         orthant = orthant_prob_closed(c, params.r, c)
@@ -200,11 +203,12 @@ def moments(
     binomial.  H1 differs by mode (see :class:`TheoryMode`); the
     paper-literal variance goes negative for p > 1/2 and is returned
     as-is so the inconsistency stays visible.  Raises ValueError for
-    params that `model.validate` rejects.
+    params that `model.validate` rejects and for a hypothesis or mode that
+    is not a member of its enum.
     """
     require_valid(params)
-    if not isinstance(mode, TheoryMode):
-        raise ValueError(f"unknown theory mode: {mode!r}")
+    _require_member(hypothesis, Hypothesis, "hypothesis")
+    _require_member(mode, TheoryMode, "mode")
     m = params.pairs_total
     if hypothesis is Hypothesis.H0:
         return TheoryMoments(0.5 * m, 0.25 * m, hypothesis, mode)
@@ -218,8 +222,10 @@ def gaussian_tail(eta: float, mean: float, var: float, direction: DetectorDirect
     """P(decide H1) for a Gaussian statistic, honoring the test direction.
 
     A zero variance (paper-literal mode at r = 0) degenerates to a point
-    mass at the mean: the tail is the detector's own decision on it.
+    mass at the mean: the tail is the detector's own decision on it.  A
+    direction that is not a DetectorDirection raises ValueError.
     """
+    _require_member(direction, DetectorDirection, "direction")
     if var == 0.0:
         return float(detector.decide(mean, eta, direction))
     sd = math.sqrt(var)
@@ -299,53 +305,51 @@ def theory_roc(
     return RocCurve(eta=thresholds, pfa=pfa, pd=pd, source=source, trials_used=0)
 
 
-def _exact_h0_tail_table(m: int) -> np.ndarray:
-    """Exact P(Y >= k | H0) for k = 0..m+1, Y ~ Binomial(m, 1/2).
+#: Fair coins up to this many trials are summed in integers, whose work
+#: grows as n**2 (on a 2-core Xeon: 14 ms at 4096, 5 s at 1e5).
+_EXACT_MAX = 4096
 
-    Walks k down from m, stepping comb(m, k) by the multiplicative
-    recurrence comb(m, k-1) = comb(m, k) * k / (m-k+1) and accumulating
-    the suffix sum, so the whole table is O(m) big-int steps and no list
-    of big ints is kept.  Each entry is rounded once by int/int true
-    division, which CPython rounds correctly; entry 0 is 1.0 and entry
-    m+1 is 0.0.
+
+def _binomial_tails(n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """P(X <= k) and P(X >= k) for k = 0..n+1, X ~ Binomial(n, q).
+
+    A fair coin with n <= _EXACT_MAX sums comb(n, k) down from k = n by
+    comb(n, k-1) = comb(n, k) * k / (n-k+1) in integers and rounds each
+    entry once by int/int true division, which CPython rounds correctly;
+    P(X <= k) = P(X >= n-k).  Otherwise the pmf, a cumulative sum of
+    log((n-j)/(j+1)) plus the log odds, is normalised over the window
+    |j - nq| <= d where Bernstein's bound exp(-d**2 / (2 (nq(1-q) + d/3)))
+    is e**-760, so every term left out is 0 in float64; its tails are
+    within 1e-8 (relative) of the exact ones wherever they exceed 1e-290,
+    for n up to 1e6.  q in {0, 1} is a point mass.  Both tables lie in
+    [0, 1] and are monotone, with P(X >= 0) = P(X <= n) = 1.0 and
+    P(X >= n+1) = 0.0.
     """
-    denominator = 1 << m
-    table = np.empty(m + 2)
-    table[m + 1] = 0.0
-    coefficient = 1
-    suffix = 0
-    for k in range(m, -1, -1):
-        suffix += coefficient
-        table[k] = suffix / denominator
-        coefficient = coefficient * k // (m - k + 1)
-    return table
-
-
-def _binomial_tails(k, n: int, q) -> tuple[np.ndarray, np.ndarray]:
-    """P(X <= k) and P(X >= k), X ~ Binomial(n, q), per pair of equal-length
-    integer ``k`` and float ``q``.
-
-    The pmf is exp(log C(n, j) + j log(q/(1-q)) + n log(1-q)), with
-    log C(n, j) built once by a cumulative sum of log((n-j)/(j+1)); its
-    rounding gives a relative error below 1e-8 for n up to 1e5 wherever
-    the tail exceeds 1e-290.  Only |j - nq| <= d is summed, where
-    Bernstein's tail bound exp(-d**2 / (2 (nq(1-q) + d/3))) is e**-760,
-    so every term left out is 0 in float64.
-    """
-    j = np.arange(n + 1)
-    log_comb = np.concatenate(([0.0], np.cumsum(np.log((n - j[:-1]) / (j[:-1] + 1.0)))))
-    lower, upper = np.empty(len(k)), np.empty(len(k))
-    for i, (kk, qq) in enumerate(zip(np.asarray(k).tolist(), np.asarray(q).tolist())):
-        if qq in (0.0, 1.0):
-            point = 0 if qq == 0.0 else n
-            lower[i], upper[i] = point <= kk, point >= kk
-            continue
-        d = 760.0 / 3.0 + math.sqrt((760.0 / 3.0) ** 2 + 1520.0 * n * qq * (1.0 - qq))
-        lo, hi = max(0, round(n * qq - d) - 1), min(n, round(n * qq + d) + 1) + 1
-        log_1mq = math.log1p(-qq)
-        pmf = np.exp(log_comb[lo:hi] + j[lo:hi] * (math.log(qq) - log_1mq) + n * log_1mq)
-        lower[i] = pmf[: max(0, kk + 1 - lo)].sum()
-        upper[i] = pmf[max(0, kk - lo) :].sum()
+    if q == 0.5 and n <= _EXACT_MAX:
+        denominator = 1 << n
+        upper = np.empty(n + 2)
+        upper[n + 1] = 0.0
+        coefficient, suffix = 1, 0
+        for k in range(n, -1, -1):
+            suffix += coefficient
+            upper[k] = suffix / denominator
+            coefficient = coefficient * k // (n - k + 1)
+        return np.append(upper[n::-1], 1.0), upper
+    if q in (0.0, 1.0):
+        lo, hi, pmf = round(q * n), round(q * n) + 1, np.ones(1)
+    else:
+        d = 760.0 / 3.0 + math.sqrt((760.0 / 3.0) ** 2 + 1520.0 * n * q * (1.0 - q))
+        lo, hi = max(0, round(n * q - d) - 1), min(n, round(n * q + d) + 1) + 1
+        j = np.arange(lo, hi - 1)
+        log_pmf = np.cumsum(np.log((n - j) / (j + 1.0)))
+        log_pmf = np.append(0.0, log_pmf) + np.arange(hi - lo) * (math.log(q) - math.log1p(-q))
+        pmf = np.exp(log_pmf - log_pmf.max())
+        pmf /= pmf.sum()
+    lower, upper = np.zeros(n + 2), np.zeros(n + 2)
+    lower[lo : hi - 1] = np.minimum(np.cumsum(pmf[:-1]), 1.0)
+    lower[hi - 1 :] = 1.0
+    upper[lo + 1 : hi] = np.minimum(np.cumsum(pmf[:0:-1])[::-1], 1.0)
+    upper[: lo + 1] = 1.0
     return lower, upper
 
 
@@ -356,13 +360,13 @@ def exact_h0_tail(params: ModelParams, eta: float) -> float:
     agreement indicators are iid Bernoulli(1/2) and the count is exactly
     binomial.  The integer count reaches a threshold eta at ceil(eta),
     read by `detector.firing_mass` as in ``montecarlo.exact_h0_rates``.
-    Computed in integer arithmetic and rounded once at the end, so the
-    value is correct to the last float digit.  eta = -inf gives 1.0 and
-    +inf gives 0.0; a NaN eta, or params that `model.validate` rejects,
-    raise ValueError.
+    Correct to the last float digit up to 4096 pairs, and above that
+    within 1e-8 (relative) wherever it exceeds 1e-290 (`_binomial_tails`).
+    eta = -inf gives 1.0 and +inf gives 0.0; a NaN eta, or params that
+    `model.validate` rejects, raise ValueError.
     """
     require_valid(params)
     if math.isnan(eta):
         raise ValueError("eta is NaN: the tail has no threshold to read")
-    table = _exact_h0_tail_table(params.pairs_total)
+    _, table = _binomial_tails(params.pairs_total, 0.5)
     return float(detector.firing_mass(table, [eta], DetectorDirection.GREATER_IS_H1)[0])

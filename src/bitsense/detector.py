@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DetectorDirection, ModelParams
+from .model import DetectorDirection, ModelParams, _require_member
 
 
 class DimensionMismatchError(ValueError):
@@ -49,8 +49,9 @@ def decide(y_count: int, eta: float, direction: DetectorDirection) -> int:
     """Threshold decision: 1 declares signal present.
 
     Upward direction fires on y_count >= eta (ties included), downward on
-    y_count <= eta.
+    y_count <= eta; any other direction raises ValueError.
     """
+    _require_member(direction, DetectorDirection, "direction")
     if direction is DetectorDirection.GREATER_IS_H1:
         return int(y_count >= eta)
     return int(y_count <= eta)
@@ -68,8 +69,9 @@ def firing_mass(upper: np.ndarray, thresholds, direction: DetectorDirection) -> 
     is the total and ``upper[m+1]`` is 0.  The upward test fires at
     Y >= ceil(eta); the downward test fires at Y <= floor(eta), the total
     less the mass at Y >= floor(eta) + 1.  Thresholds outside [0, m+1]
-    read the ends of the table.
+    read the ends of the table.  Any other direction raises ValueError.
     """
+    _require_member(direction, DetectorDirection, "direction")
     last = len(upper) - 1
     if direction is DetectorDirection.GREATER_IS_H1:
         return upper[np.clip(np.ceil(thresholds), 0, last).astype(np.intp)]

@@ -57,6 +57,13 @@ def _direction_of(r: float) -> DetectorDirection:
     return DetectorDirection.LESS_IS_H1 if r < 0 else DetectorDirection.GREATER_IS_H1
 
 
+def _require_member(value, kind: type[enum.Enum], name: str) -> None:
+    """The one rule for an enum argument: raise ValueError unless ``value``
+    is a member of ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def _is_int(value) -> bool:
     """The one rule for a count or a seed: an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)

@@ -23,7 +23,9 @@ from .analytic import (  # the H1_VARIANCE_* flags are also importable from here
     TheoryMode,
 )
 from .curves import RocCurve, RocSource, _equal_by_value, _read_only
-from .model import DetectorDirection, Hypothesis, ModelParams, _direction_of, _is_int, validate
+from .model import (
+    DetectorDirection, Hypothesis, ModelParams, _direction_of, _is_int, _require_member, validate
+)
 
 #: Stream derivation contract, recorded in every manifest.  Philox4x64-10
 #: keyed by the master seed (via SeedSequence expansion to 128 bits); the
@@ -102,8 +104,9 @@ class RunConfig:
 
 
 #: Upper bound on the engine's per-chunk normal buffer.  Every array the
-#: chunk math makes is about this size or smaller, so memory stays flat
-#: at any trial count.
+#: chunk math makes is about this size or smaller, so only the chunk
+#: buffers are bounded: each share still keeps one int64 per trial per
+#: config for the statistics it returns.
 CHUNK_BYTES = 256 * 1024
 
 
@@ -122,8 +125,10 @@ def seed_for_trial(
     """Independent random stream for one trial (see RNG_SCHEME).
 
     The mapping is pure and injective over (hypothesis, trial_index), so
-    trial t produces identical draws no matter when or where it runs.
+    trial t produces identical draws no matter when or where it runs.  A
+    hypothesis that is not a Hypothesis raises ValueError.
     """
+    _require_member(hypothesis, Hypothesis, "hypothesis")
     counter = _trial_counter(trial_index, hypothesis.value)
     bitgen = np.random.Philox(counter=counter, key=_philox_key(master_seed))
     return np.random.Generator(bitgen)
@@ -207,7 +212,10 @@ def _worker_count(workers: int | None, draws: int) -> int:
     one cap on a count: ``workers``, or if None one per DRAWS_PER_WORKER
     normals up to the usable CPUs, kept in [1, max(2, usable CPUs)], so a
     2-worker run still splits on one CPU.  Forking is `_fork_map`'s rule.
+    A ``workers`` that is neither None nor an int raises ValueError.
     """
+    if workers is not None and not _is_int(workers):
+        raise ValueError(f"workers must be None or an integer, got {workers!r}")
     cpus = _usable_cpus()
     if workers is None:
         workers = min(cpus, draws // DRAWS_PER_WORKER)
@@ -300,8 +308,9 @@ def _simulate(
     most ``max(2, usable CPUs)``, from ``workers`` or, if it is None, from
     the call's normals (each group's trials times its widest draw).
     """
-    for config, _ in jobs:
+    for config, hypothesis in jobs:
         config.require_valid()
+        _require_member(hypothesis, Hypothesis, "hypothesis")
     groups: dict[tuple[int, int, Hypothesis], list[int]] = {}
     for i, (config, hypothesis) in enumerate(jobs):
         groups.setdefault((config.master_seed, config.trials, hypothesis), []).append(i)
@@ -382,15 +391,16 @@ def estimate_rates(config: RunConfig, workers: int | None = None) -> RocCurve:
 def exact_h0_rates(config: RunConfig) -> np.ndarray:
     """Exact binomial firing probability under H0 at every threshold.
 
-    One exact tail table serves every threshold.  The upward test reads
-    P(Y >= ceil(eta)) straight off it, correct to the last float digit.
-    The downward test takes 1 - P(Y >= floor(eta) + 1), which loses all
-    probability below about 1e-16 to cancellation: small lower-tail
-    values lose digits or flush to 0.  Raises ValueError for a config
-    that `RunConfig.require_valid` rejects.
+    One upper tail table (`analytic._binomial_tails`) serves every
+    threshold.  The upward test reads P(Y >= ceil(eta)) off it: correct
+    to the last float digit up to 4096 pairs, above that within 1e-8
+    (relative) wherever it exceeds 1e-290.  The downward test takes
+    1 - P(Y >= floor(eta) + 1), which loses all probability below about
+    1e-16 to cancellation.  Raises ValueError for a config that
+    `RunConfig.require_valid` rejects.
     """
     config.require_valid()
-    tail = analytic._exact_h0_tail_table(config.params.pairs_total)
+    _, tail = analytic._binomial_tails(config.params.pairs_total, 0.5)
     return detector.firing_mass(tail, config.thresholds, config.direction)
 
 

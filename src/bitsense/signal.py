@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Hypothesis, ModelParams, NonPositiveDefiniteError
+from .model import Hypothesis, ModelParams, NonPositiveDefiniteError, _require_member
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,8 @@ def quantize(x):
 
 def draw_width(params: ModelParams, hypothesis: Hypothesis) -> int:
     """Standard normals one measurement consumes: N·n noise, plus n source
-    draws under H1."""
+    draws under H1; any other hypothesis raises ValueError."""
+    _require_member(hypothesis, Hypothesis, "hypothesis")
     noise = params.num_sensors * params.n
     return noise + params.n if hypothesis is Hypothesis.H1 else noise
 
@@ -120,8 +121,10 @@ def observe_draws(
     ``draws`` has shape (..., draw_width) and each row is laid out as the
     stream is consumed: under H1 the n source draws first, then the N
     noise rows; under H0 only the noise rows.  Returns uint8 bits of
-    shape (..., N, n).  Callers are expected to pass validated params.
+    shape (..., N, n).  Callers are expected to pass validated params;
+    any other hypothesis raises ValueError.
     """
+    _require_member(hypothesis, Hypothesis, "hypothesis")
     N, n = params.num_sensors, params.n
     noise = (params.noise_std * draws[..., -N * n :]).reshape(*draws.shape[:-1], N, n)
     if hypothesis is Hypothesis.H0:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 from bitsense.analytic import (
     H1_VARIANCE_NEGATIVE,
     AgreementMethod,
+    _EXACT_MAX,
     _binomial_tails,
-    _exact_h0_tail_table,
     NegativeVarianceError,
     TheoryMode,
     agreement_prob,
@@ -25,9 +26,17 @@ from bitsense.analytic import (
     theory_roc,
 )
 from bitsense.curves import RocCurve, RocSource
-from bitsense.detector import decide, sweep_thresholds
+from bitsense.detector import decide, firing_mass, sweep_thresholds
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams, NonPositiveDefiniteError
-from bitsense.montecarlo import RunConfig, compare_theory, config_to_dict, exact_h0_rates
+from bitsense.montecarlo import (
+    RunConfig,
+    compare_theory,
+    config_to_dict,
+    exact_h0_rates,
+    seed_for_trial,
+    simulate_statistics,
+)
+from bitsense.signal import draw_width, observe, observe_draws
 
 
 def make_params(n=20, num_sensors=1, sigma_s2=1.0, r=0.5, sigma2=1e-4):
@@ -330,7 +339,7 @@ class TestExactH0Tail:
             row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
             suffix = list(itertools.accumulate(reversed(row)))[::-1] + [0]
             expected = [float(Fraction(s, 2**m)) for s in suffix]
-            assert _exact_h0_tail_table(m).tolist() == expected, m
+            assert _binomial_tails(m, 0.5)[1].tolist() == expected, m
             params = make_params(n=m + 1)
             etas = range(m + 2) if m <= 40 else (1, 2, m // 2, m - 1, m)
             for eta in etas:
@@ -356,7 +365,7 @@ def test_binomial_tails_match_scipy(n):
         spread = math.sqrt(n * q * (1.0 - q))
         ks = np.unique(np.clip(np.rint(n * q + spread * np.arange(-40, 41, 4)), 0, n))
         ks = np.union1d(ks, [0, 1, n - 1, n]).astype(np.int64)
-        lower, upper = _binomial_tails(ks, n, np.full(len(ks), q))
+        lower, upper = (table[ks] for table in _binomial_tails(n, q))
         for mine, exact in (
             (lower, special.bdtr(ks, n, q)),
             (upper, special.bdtrc(ks - 1, n, q)),
@@ -364,6 +373,50 @@ def test_binomial_tails_match_scipy(n):
             big = exact > 1e-290
             assert np.all(np.abs(mine[big] - exact[big]) <= 1e-8 * exact[big]), q
             assert np.all(mine[~big] <= 1e-290), q
+
+
+@pytest.mark.parametrize("n", [5000, 30_000])
+def test_fair_coin_tails_above_the_exact_cutoff_are_within_1e_9_of_big_ints(n):
+    # The reference steps comb(n, k) upward and sums prefixes, the other
+    # way round from the exact path, and rounds each entry once.
+    assert n > _EXACT_MAX
+    total, prefix, coefficient = 2**n, 0, 1
+    lower_exact, upper_exact = [], [1.0]
+    for k in range(n + 1):
+        prefix += coefficient
+        lower_exact.append(prefix / total)
+        upper_exact.append((total - prefix) / total)
+        coefficient = coefficient * (n - k) // (k + 1)
+    lower, upper = _binomial_tails(n, 0.5)
+    for mine, exact in ((lower, np.append(lower_exact, 1.0)), (upper, np.array(upper_exact))):
+        big = exact > 1e-290
+        assert np.all(np.abs(mine[big] - exact[big]) <= 1e-9 * exact[big])
+        assert np.all(mine[~big] <= 1e-290)
+
+
+@pytest.mark.parametrize(
+    "n, q",
+    [
+        (200, 0.5), (4096, 0.5), (4097, 0.5), (100_000, 0.5), (5000, 2.0**-19),
+        (10_000, 1.0 - 2.0**-19), (100_000, 0.3), (50, 0.0), (50, 1.0), (1, 0.7),
+    ],
+)
+def test_binomial_tables_are_monotone_in_the_unit_interval_with_exact_ends(n, q):
+    lower, upper = _binomial_tails(n, q)
+    assert len(lower) == len(upper) == n + 2
+    for table in (lower, upper):
+        assert np.all((table >= 0.0) & (table <= 1.0))
+    assert np.all(np.diff(lower) >= 0.0) and np.all(np.diff(upper) <= 0.0)
+    assert upper[0] == lower[n] == lower[n + 1] == 1.0
+    assert upper[n + 1] == 0.0
+
+
+def test_a_million_pair_exact_h0_tail_builds_in_under_a_second():
+    params = make_params(n=1_000_001)
+    start = time.perf_counter()
+    tail = exact_h0_tail(params, 500_000.5)
+    assert time.perf_counter() - start < 1.0
+    assert 0.49 < tail < 0.5
 
 
 @pytest.mark.parametrize("direction", list(DetectorDirection))
@@ -482,6 +535,42 @@ def curve_at(eta) -> RocCurve:
             lambda: config_to_dict(RunConfig(make_params(), -1)),
             "master_seed must fit in 64 bits, got -1",
         ),
+        (lambda: moments(make_params(), "H0"), "hypothesis must be a Hypothesis, got 'H0'"),
+        (lambda: moments(make_params(), 0), "hypothesis must be a Hypothesis, got 0"),
+        (
+            lambda: moments(make_params(), Hypothesis.H1, "consistent"),
+            "mode must be a TheoryMode, got 'consistent'",
+        ),
+        (
+            lambda: decide(5, 5.5, "greater"),
+            "direction must be a DetectorDirection, got 'greater'",
+        ),
+        (
+            lambda: gaussian_tail(12, 10, 4, "greater"),
+            "direction must be a DetectorDirection, got 'greater'",
+        ),
+        (
+            lambda: firing_mass(np.array([10, 7, 3, 0]), [1.5], "greater"),
+            "direction must be a DetectorDirection, got 'greater'",
+        ),
+        (
+            lambda: agreement_prob(make_params(), "closed-form"),
+            "method must be a AgreementMethod, got 'closed-form'",
+        ),
+        (lambda: draw_width(make_params(), "H1"), "hypothesis must be a Hypothesis, got 'H1'"),
+        (
+            lambda: observe(make_params(), "H1", np.random.default_rng(0)),
+            "hypothesis must be a Hypothesis, got 'H1'",
+        ),
+        (
+            lambda: observe_draws(make_params(), "H0", np.zeros(20)),
+            "hypothesis must be a Hypothesis, got 'H0'",
+        ),
+        (
+            lambda: simulate_statistics(RunConfig(make_params(), 1, trials=10), "H1"),
+            "hypothesis must be a Hypothesis, got 'H1'",
+        ),
+        (lambda: seed_for_trial(1, "H1", 0), "hypothesis must be a Hypothesis, got 'H1'"),
     ],
     ids=[
         "curve-nan", "curve-2-D", "curve-empty", "curve-inf",
@@ -489,6 +578,11 @@ def curve_at(eta) -> RocCurve:
         "exact-tail-n=1", "exact-tail-n=-3", "moments-not-pd", "agreement-not-pd",
         "curve-short-pfa", "curve-scalar-pfa", "config-mode-str",
         "echo-mode-str", "echo-trials=0", "echo-seed=-1",
+        "moments-hypothesis-str", "moments-hypothesis-int", "moments-mode-str",
+        "decide-direction-str", "gaussian-tail-direction-str", "firing-mass-direction-str",
+        "agreement-method-str", "draw-width-hypothesis-str", "observe-hypothesis-str",
+        "observe-draws-hypothesis-str",
+        "simulate-hypothesis-str", "seed-for-trial-hypothesis-str",
     ],
 )
 def test_every_public_edge_refuses_what_its_rule_refuses(build, rule):

@@ -406,7 +406,7 @@ class TestConfigChecks:
         cfg = write_config(tmp_path, "n = 8\nr = 0.3\ntrials = 40\n" + body, "c.cfg")
         return main(["roc", "--config", str(cfg), "--out", str(tmp_path / "out"), *extra])
 
-    @pytest.mark.parametrize("value", ["-0.01", "0", "nan", "inf", "1e200"])
+    @pytest.mark.parametrize("value", ["-0.01", "0", "nan", "inf", "1e200", "1e-200"])
     def test_bad_noise_std_is_a_usage_error(self, tmp_path, capsys, value):
         assert self.run_config(tmp_path, f"noise_std = {value}\n") == 2
         err = capsys.readouterr().err

@@ -684,6 +684,14 @@ def test_an_explicit_worker_count_below_one_runs_serially(workers):
     assert np.array_equal(curve.pd, serial_curve.pd)
 
 
+@pytest.mark.parametrize("workers", [2.5, True, "2"])
+def test_a_worker_count_that_is_not_an_int_is_refused(cpus, workers):
+    cpus(4)  # with 2 CPUs the cap turned 2.5 into 2 and ran
+    message = re.escape(f"workers must be None or an integer, got {workers!r}")
+    with pytest.raises(ValueError, match=message):
+        estimate_rates(make_config(trials=20), workers=workers)
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_zero_or_negative_workers_env_var_runs_serially(tmp_path, monkeypatch, fake_pool, value):
     """The CLI passes the variable's count to the engine, which runs a count
