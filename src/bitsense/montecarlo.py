@@ -8,6 +8,7 @@ Results are bit-identical serial and parallel.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import threading
@@ -114,11 +115,6 @@ def _philox_key(master_seed: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
 
 
-def _trial_counter(trial_index: int, hyp_tag: int) -> list[int]:
-    """Initial Philox counter words of one trial's stream (see RNG_SCHEME)."""
-    return [0, 0, trial_index, hyp_tag]
-
-
 def seed_for_trial(
     master_seed: int, hypothesis: Hypothesis, trial_index: int
 ) -> np.random.Generator:
@@ -126,12 +122,43 @@ def seed_for_trial(
 
     The mapping is pure and injective over (hypothesis, trial_index), so
     trial t produces identical draws no matter when or where it runs.  A
-    hypothesis that is not a Hypothesis raises ValueError.
+    hypothesis that is not a Hypothesis raises ValueError, and a
+    trial_index outside [0, 2**64) OverflowError.
     """
     _require_member(hypothesis, Hypothesis, "hypothesis")
-    counter = _trial_counter(trial_index, hypothesis.value)
+    counter = np.array([0, 0, trial_index, hypothesis.value], dtype=np.uint64)
     bitgen = np.random.Philox(counter=counter, key=_philox_key(master_seed))
     return np.random.Generator(bitgen)
+
+
+class _PhiloxState(ctypes.Structure):
+    """numpy's C ``philox_state``, as `_counter_views` checks it."""
+
+    _fields_ = [
+        ("counter", ctypes.POINTER(ctypes.c_uint64 * 4)), ("key", ctypes.c_void_p),
+        ("buffer_pos", ctypes.c_int), ("buffer", ctypes.c_uint64 * 4),
+        ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)
+    ]
+
+
+def _counter_views(bitgen: np.random.Philox) -> tuple:
+    """Writable views of a Philox's four counter words and its buffer_pos,
+    valid while it lives and left at a fresh stream (counter 0, buffer_pos 4,
+    has_uint32 0).  A probe state set through the public `state` setter must
+    first read back through `_PhiloxState` at ``bitgen.ctypes.state_address``,
+    fields without pointers before the counter pointer, or RuntimeError."""
+    state = bitgen.state
+    key = state["state"]["key"]
+    probe = {"buffer": [5, 6, 7, 8], "buffer_pos": 3, "has_uint32": 1, "uinteger": 9}
+    bitgen.state = {**state, **probe, "state": {"counter": [1, 2, 3, 4], "key": key}}
+    c = _PhiloxState.from_address(bitgen.ctypes.state_address)
+    fields = (list(c.buffer), c.buffer_pos, c.has_uint32, c.uinteger)
+    if fields != tuple(probe.values()) or list(c.counter.contents) != [1, 2, 3, 4]:
+        raise RuntimeError(f"numpy {np.__version__}'s Philox state is not laid out as expected")
+    fresh = {"buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    bitgen.state = {**state, **fresh, "state": {"counter": [0, 0, 0, 0], "key": key}}
+    pos = ctypes.c_int.from_address(ctypes.addressof(c) + _PhiloxState.buffer_pos.offset)
+    return c.counter.contents, pos
 
 
 def _run_sweep_trials(
@@ -144,7 +171,9 @@ def _run_sweep_trials(
     """Statistics of trials [start, stop) for each params[i].
 
     The key is the Philox key of the one master seed all params share.
-    One Philox is reset to each trial's fresh-stream state in turn, which
+    One Philox is reset in place to each trial's fresh stream: counter
+    words 0 and 2 and buffer_pos, through `_counter_views`, which raises
+    RuntimeError on a numpy whose Philox state it does not know.  So it
     draws exactly what `seed_for_trial` would.  A trial's normals fill
     one row of a chunk buffer as wide as the widest params (see
     RNG_SCHEME).  Params that differ only in N form a family: the same
@@ -169,20 +198,15 @@ def _run_sweep_trials(
     draws = np.empty((min(chunk, stop - start), widest))
     bitgen = np.random.Philox(key=key)
     normal = np.random.Generator(bitgen).standard_normal
-    # A fresh stream's state: buffer_pos 4 means the first draw starts a
-    # new block.  Python ints make the per-trial state assignment cheaper
-    # than the numpy scalars it is read back as.
-    state = bitgen.state
-    state["state"]["key"] = key.tolist()
-    state["buffer"] = state["buffer"].tolist()
-    hyp_tag = hypothesis.value
+    counter, pos = _counter_views(bitgen)
+    counter[3] = hypothesis.value
     outs = [np.empty(stop - start, dtype=np.int64) for _ in params]
     for lo in range(start, stop, chunk):
         rows = draws[: min(chunk, stop - lo)]
         for t, row in enumerate(rows, lo):
-            state["state"]["counter"] = _trial_counter(t, hyp_tag)
-            bitgen.state = state
-            normal(out=row)
+            # buffer_pos 4: the first draw starts a new block, at word 0 + 1
+            counter[0], counter[2], pos.value = 0, t, 4
+            normal(None, np.float64, row)
         at = slice(lo - start, lo - start + len(rows))
         for wide, width, factor, columns in passes:
             bits = signal.observe_draws(wide, hypothesis, rows[:, :width], factor=factor)

@@ -1,13 +1,15 @@
+import ctypes
 import json
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bitsense import montecarlo
+from bitsense import montecarlo, signal
 from bitsense.analytic import (
     NegativeVarianceError,
     TheoryMode,
@@ -171,6 +173,14 @@ class TestSeedForTrial:
         a = seed_for_trial(99, Hypothesis.H0, 7).standard_normal(4)
         b = seed_for_trial(100, Hypothesis.H0, 7).standard_normal(4)
         assert not np.array_equal(a, b)
+
+    def test_the_trial_index_is_word_2_exactly_up_to_2_64(self):
+        for t in (2**53 + 1, 2**63, 2**64 - 1):
+            counter = seed_for_trial(1, Hypothesis.H1, t).bit_generator.state["state"]["counter"]
+            assert counter.tolist() == [0, 0, t, 1]
+        for t in (-1, 2**64):
+            with pytest.raises(OverflowError):
+                seed_for_trial(1, Hypothesis.H0, t)
 
     def test_batch_of_streams_is_collision_free(self):
         # first raw output of 20000 H0 streams: all pairwise distinct
@@ -551,29 +561,158 @@ class TestSweepEngine:
             assert swept.pfa.tolist() == alone.pfa.tolist()
             assert swept.pd.tolist() == alone.pd.tolist()
 
-    def test_each_seed_draws_each_trial_once(self, monkeypatch):
-        counters = []
-
-        def counting(trial_index, hyp_tag):
-            counters.append((trial_index, hyp_tag))
-            return [0, 0, trial_index, hyp_tag]
-
-        monkeypatch.setattr(montecarlo, "_trial_counter", counting)
+    def test_each_seed_draws_each_trial_once(self, resets):
         simulate_sweep(MIXED_SWEEP, Hypothesis.H1, workers=1)
         # each (seed, trials) group draws its trials once: three configs
         # share the seed-5 130-trial pass
-        assert len(counters) == 130 + 130 + 150 + 41
+        assert len(resets) == 130 + 130 + 150 + 41
 
-    def test_an_roc_sweep_draws_each_trial_once_per_hypothesis(self, monkeypatch):
-        counters = []
-
-        def counting(trial_index, hyp_tag):
-            counters.append((trial_index, hyp_tag))
-            return [0, 0, trial_index, hyp_tag]
-
-        monkeypatch.setattr(montecarlo, "_trial_counter", counting)
+    def test_an_roc_sweep_draws_each_trial_once_per_hypothesis(self, resets):
         estimate_sweep(MIXED_SWEEP, workers=1)
-        assert len(counters) == 2 * (130 + 130 + 150 + 41)
+        assert len(resets) == 2 * (130 + 130 + 150 + 41)
+
+
+class CountingWords:
+    """A Philox's counter words that record (word 2, word 3) at each
+    write to word 2, the engine's reset of one trial's stream."""
+
+    def __init__(self, words, seen):
+        self.words, self.seen = words, seen
+
+    def __setitem__(self, i, value):
+        self.words[i] = value
+        if i == 2:
+            self.seen.append((value, self.words[3]))
+
+
+@pytest.fixture
+def resets(monkeypatch):
+    """(trial index, hypothesis tag) of every trial stream the engine
+    resets, in order."""
+    seen = []
+    views = montecarlo._counter_views
+
+    def counting(bitgen):
+        words, pos = views(bitgen)
+        return CountingWords(words, seen), pos
+
+    monkeypatch.setattr(montecarlo, "_counter_views", counting)
+    return seen
+
+
+@pytest.fixture
+def engine_rows(monkeypatch):
+    """Every row of normals the engine hands the quantizer, in order."""
+    rows = []
+    observe = signal.observe_draws
+
+    def recording(params, hypothesis, draws, factor=None):
+        rows.extend(draws.tolist())
+        return observe(params, hypothesis, draws, factor=factor)
+
+    monkeypatch.setattr(signal, "observe_draws", recording)
+    return rows
+
+
+def reference_rows(config, hypothesis, start, stop):
+    width = draw_width(config.params, hypothesis)
+    return [
+        seed_for_trial(config.master_seed, hypothesis, t).standard_normal(width).tolist()
+        for t in range(start, stop)
+    ]
+
+
+def run_trials(config, hypothesis, start, stop):
+    key = montecarlo._philox_key(config.master_seed)
+    return montecarlo._run_sweep_trials([config.params], key, hypothesis, start, stop)
+
+
+WIDE = make_config(n=300, num_sensors=2, r=-0.5, trials=60, master_seed=1)
+
+
+class TestTrialReset:
+    """The engine resets one Philox in place to each trial's stream; every
+    row it draws must be the row `seed_for_trial` draws."""
+
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    @pytest.mark.parametrize("start", [2**62, 2**64 - 3])
+    def test_rows_at_the_top_of_the_trial_index_range(self, engine_rows, hypothesis, start):
+        config = make_config(n=12, num_sensors=3, master_seed=9)
+        [y] = run_trials(config, hypothesis, start, start + 3)
+        assert engine_rows == reference_rows(config, hypothesis, start, start + 3)
+        assert y.tolist() == reference_statistics(config, hypothesis, start, start + 3)
+
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    def test_a_clean_trial_follows_one_that_ended_mid_block(self, engine_rows, hypothesis):
+        # 600 or 900 normals a trial, 150 or ~225 Philox blocks: 54 or 36
+        # rows a chunk, and the last trial of the first chunk ends inside a block
+        chunk = chunk_rows(WIDE.params, hypothesis)
+        assert chunk < WIDE.trials
+        last = seed_for_trial(WIDE.master_seed, hypothesis, chunk - 1)
+        last.standard_normal(draw_width(WIDE.params, hypothesis))
+        assert last.bit_generator.state["buffer_pos"] < 4
+        run_trials(WIDE, hypothesis, 0, WIDE.trials)
+        assert engine_rows == reference_rows(WIDE, hypothesis, 0, WIDE.trials)
+
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    def test_rows_through_the_two_worker_runner(self, fake_pool, engine_rows, hypothesis):
+        config = make_config(n=20, num_sensors=3, r=-0.3, trials=25, master_seed=4)
+        [y] = simulate_sweep([config], hypothesis, workers=2)
+        assert fake_pool == [(2, 2)]
+        assert engine_rows == reference_rows(config, hypothesis, 0, config.trials)
+        assert y.tolist() == reference_statistics(config, hypothesis, 0, config.trials)
+
+
+class TestCounterViews:
+    def test_the_probe_leaves_a_fresh_stream_behind(self):
+        bitgen = np.random.Philox(key=np.array([3, 4], dtype=np.uint64))
+        dirty = bitgen.state
+        dirty["state"]["counter"] = np.array([9, 8, 7, 6], dtype=np.uint64)
+        dirty.update(buffer_pos=1, has_uint32=1, uinteger=77)
+        bitgen.state = dirty
+        words, pos = montecarlo._counter_views(bitgen)
+        state = bitgen.state
+        assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+        assert state["state"]["key"].tolist() == [3, 4]
+        assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) == (4, 0, 0)
+        # the views write the generator's own state
+        words[2], words[3], pos.value = 11, 1, 2
+        state = bitgen.state
+        assert state["state"]["counter"].tolist() == [0, 0, 11, 1]
+        assert state["buffer_pos"] == 2
+
+    def test_an_unknown_layout_raises_before_any_pointer_is_followed(self):
+        zeroed = ctypes.create_string_buffer(64)  # NULL pointers, buffer_pos 0
+        address = ctypes.addressof(zeroed)
+
+        class StandIn(np.random.Philox):
+            # following the NULL counter pointer would raise ValueError
+            ctypes = property(lambda self: SimpleNamespace(state_address=address))
+
+        with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__}")):
+            montecarlo._counter_views(StandIn())
+
+    def test_the_state_setter_runs_per_task_not_per_trial(self, monkeypatch):
+        sets = []
+        philox = np.random.Philox
+
+        class Counting(philox):
+            @property
+            def state(self):
+                return philox.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                sets.append(value)
+                philox.state.__set__(self, value)
+
+        monkeypatch.setattr(np.random, "Philox", Counting)
+        per_task = []
+        for trials in (1, 3, WIDE.trials):  # 60 trials span two chunks
+            sets.clear()
+            run_trials(WIDE, Hypothesis.H1, 0, trials)
+            per_task.append(len(sets))
+        assert per_task[0] == per_task[1] == per_task[2] <= 2
 
 
 class TestGridFollowsParams:
