@@ -437,6 +437,7 @@ def cmd_validate(args) -> int:
     out_path = Path(args.out)
     if out_path.is_dir():
         raise ConfigError(f"--out {out_path} is a directory; give the report's file path")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     checks = run_validation_suite(trials, args.seed, workers)
     all_passed = all(c["passed"] for c in checks)
     report = {
@@ -445,7 +446,6 @@ def cmd_validate(args) -> int:
         "master_seed": args.seed,
         "checks": checks,
     }
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     _write(out_path, _json_text(report))
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 

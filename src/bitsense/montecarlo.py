@@ -9,6 +9,7 @@ Results are bit-identical serial and parallel.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import pickle
 import threading
@@ -161,6 +162,20 @@ def _counter_views(bitgen: np.random.Philox) -> tuple:
     return c.counter.contents, pos
 
 
+@functools.cache
+def _normal_fill():
+    """numpy's C ``random_standard_normal_fill``, looked up once per process; RuntimeError
+    unless it draws as `Generator.standard_normal` from Philox(79), ziggurat tail draw 4 too."""
+    probe, expected = np.zeros(256), np.random.Generator(np.random.Philox(79)).standard_normal(256)
+    bitgen, lib = np.random.Philox(79), ctypes.PyDLL(np.random._generator.__file__)
+    if fill := getattr(lib, "random_standard_normal_fill", None):
+        fill.restype = None  # PyDLL, which keeps the GIL, and no argtypes: a cheaper call
+        fill(bitgen.ctypes.bit_generator, ctypes.c_ssize_t(256), probe.ctypes)
+    if not fill or not np.array_equal(probe, expected):
+        raise RuntimeError(f"numpy {np.__version__}: no random_standard_normal_fill as expected")
+    return fill
+
+
 def _run_sweep_trials(
     params: list[ModelParams],
     key: np.ndarray,
@@ -170,17 +185,16 @@ def _run_sweep_trials(
 ) -> list[np.ndarray]:
     """Statistics of trials [start, stop) for each params[i].
 
-    The key is the Philox key of the one master seed all params share.
-    One Philox is reset in place to each trial's fresh stream: counter
-    words 0 and 2 and buffer_pos, through `_counter_views`, which raises
-    RuntimeError on a numpy whose Philox state it does not know.  So it
-    draws exactly what `seed_for_trial` would.  A trial's normals fill
-    one row of a chunk buffer as wide as the widest params (see
-    RNG_SCHEME).  Params that differ only in N form a family: the same
-    n and sigma2, and under H1 the same source.  A member's bits are the
-    first N sensors of its family's widest member, so each family runs
-    the source, quantizer and count once, and a member with N sensors
-    reads column N - 1 of the running per-sensor counts.
+    The key is the Philox key of the one master seed all params share.  One
+    Philox is reset in place to each trial's fresh stream (counter words 0 and
+    2 and buffer_pos, through `_counter_views`) and drawn by `_normal_fill`,
+    so it draws exactly what `seed_for_trial` would; both raise RuntimeError
+    on a numpy they do not know.  A trial's normals fill one row of a chunk
+    buffer as wide as the widest params (see RNG_SCHEME).  Params that differ
+    only in N form a family: the same n and sigma2, and under H1 the same
+    source.  A member's bits are the first N sensors of its family's widest
+    member, so each family runs the source, quantizer and count once, and a
+    member with N sensors reads column N - 1 of the running per-sensor counts.
     """
     h1 = hypothesis is Hypothesis.H1
     families: dict[tuple, list[int]] = {}
@@ -195,18 +209,19 @@ def _run_sweep_trials(
         passes.append((wide, signal.draw_width(wide, hypothesis), factor, columns))
     widest = max(width for _, width, _, _ in passes)
     chunk = max(1, CHUNK_BYTES // (8 * widest))
-    draws = np.empty((min(chunk, stop - start), widest))
+    fill, draws = _normal_fill(), np.empty((min(chunk, stop - start), widest))
     bitgen = np.random.Philox(key=key)
-    normal = np.random.Generator(bitgen).standard_normal
     counter, pos = _counter_views(bitgen)
     counter[3] = hypothesis.value
+    state, count, row = bitgen.ctypes.bit_generator, ctypes.c_ssize_t(widest), ctypes.c_void_p()
+    addresses = range(draws.ctypes.data, draws.ctypes.data + draws.nbytes, 8 * widest)
     outs = [np.empty(stop - start, dtype=np.int64) for _ in params]
     for lo in range(start, stop, chunk):
         rows = draws[: min(chunk, stop - lo)]
-        for t, row in enumerate(rows, lo):
+        for t, row.value in zip(range(lo, lo + len(rows)), addresses):
             # buffer_pos 4: the first draw starts a new block, at word 0 + 1
             counter[0], counter[2], pos.value = 0, t, 4
-            normal(None, np.float64, row)
+            fill(state, count, row)
         at = slice(lo - start, lo - start + len(rows))
         for wide, width, factor, columns in passes:
             bits = signal.observe_draws(wide, hypothesis, rows[:, :width], factor=factor)
@@ -216,10 +231,10 @@ def _run_sweep_trials(
     return outs
 
 
-#: Normals one worker draws before another is worth forking: ~12 ms of
-#: drawing at ~22 ns a normal, one to three times what a fork costs a
-#: ~100 MB process, 3.5-10 ms by the machine's load (os.fork, the
-#: child's start and reaping it after it exits).
+#: Normals one worker draws before another is worth forking: 10-35 ms of
+#: drawing (~20 ns a normal in bulk, ~55 ns in 20-normal trials), 1-10 times
+#: a fork on a 2-core Xeon: 3-4 ms in a 33 MB process, 7-10 ms in a ~100 MB
+#: one (os.fork, the child's start to its first write, its exit to reaped).
 DRAWS_PER_WORKER = 2**19
 
 

@@ -1,9 +1,9 @@
-"""CLI error paths: an output path that is a file, a config line with no '=',
-and a config too large for memory."""
+"""CLI error paths: an output path that is a file or lies below one, a config
+line with no '=', and a config too large for memory."""
 
 import pytest
 
-from bitsense import detector
+from bitsense import detector, montecarlo
 from bitsense.cli import main
 
 
@@ -16,6 +16,25 @@ def test_an_out_path_that_is_a_file_is_an_io_error(tmp_path, capsys, command):
     assert captured.err == f"io error: [Errno 17] File exists: {str(out)!r}\n"
     assert captured.out == ""
     assert out.read_text() == "kept\n"
+
+
+def test_validate_fails_on_an_out_below_a_file_before_any_check(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    calls = []
+    simulate = montecarlo.simulate_statistics
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "simulate_statistics", spy)
+    assert main(["validate", "--quick", "--out", str(taken / "r.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"io error: [Errno 17] File exists: {str(taken)!r}\n"
+    assert "PASS" not in captured.out
+    assert calls == []
+    assert taken.read_text() == "kept\n"
 
 
 def test_a_config_line_without_an_equals_sign_is_a_usage_error(tmp_path, capsys):

@@ -629,6 +629,10 @@ def run_trials(config, hypothesis, start, stop):
 
 WIDE = make_config(n=300, num_sensors=2, r=-0.5, trials=60, master_seed=1)
 
+#: numpy's ziggurat_nor_r: a normal draw past it took the ziggurat's tail
+#: branch, which reads more words from the stream than a fast-path draw.
+ZIGGURAT_TAIL = 3.6541528853610088
+
 
 class TestTrialReset:
     """The engine resets one Philox in place to each trial's stream; every
@@ -661,6 +665,69 @@ class TestTrialReset:
         assert fake_pool == [(2, 2)]
         assert engine_rows == reference_rows(config, hypothesis, 0, config.trials)
         assert y.tolist() == reference_statistics(config, hypothesis, 0, config.trials)
+
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    def test_rows_through_and_after_a_ziggurat_tail_draw(
+        self, fake_pool, engine_rows, hypothesis
+    ):
+        config = make_config(n=20, num_sensors=3, master_seed=2, trials=100)
+        rows = reference_rows(config, hypothesis, 0, config.trials)
+        t, i = next(
+            (t, i)
+            for t, row in enumerate(rows)
+            for i, x in enumerate(row[:-1])  # not the row's last draw
+            if abs(x) > ZIGGURAT_TAIL
+        )
+        run_trials(config, hypothesis, max(0, t - 1), t + 2)
+        assert engine_rows == rows[max(0, t - 1) : t + 2]
+        engine_rows.clear()
+        [y] = simulate_sweep([replace(config, trials=t + 2)], hypothesis, workers=2)
+        assert fake_pool == [(2, 2)]
+        assert engine_rows == rows[: t + 2]
+        assert y.tolist() == reference_statistics(config, hypothesis, 0, t + 2)
+
+
+@pytest.fixture
+def fresh_fill():
+    """`montecarlo._normal_fill` with its once-per-process cache cleared
+    before the test and again after it, so no other test sees its lookup."""
+    montecarlo._normal_fill.cache_clear()
+    yield montecarlo._normal_fill
+    montecarlo._normal_fill.cache_clear()
+
+
+class TestNormalFill:
+    def test_the_probe_takes_the_ziggurat_tail(self):
+        probe = np.random.Generator(np.random.Philox(79)).standard_normal(256)
+        assert abs(probe[4]) > ZIGGURAT_TAIL
+
+    # the same signature and another law, or no such routine at all
+    @pytest.mark.parametrize("other", ["random_standard_exponential_fill", None])
+    def test_a_routine_that_draws_otherwise_or_is_missing_is_refused(
+        self, fresh_fill, monkeypatch, engine_rows, other
+    ):
+        lib = ctypes.PyDLL(np.random._generator.__file__)
+        routines = {"random_standard_normal_fill": getattr(lib, other)} if other else {}
+        monkeypatch.setattr(ctypes, "PyDLL", lambda path: SimpleNamespace(**routines))
+        with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__}")):
+            simulate_statistics(make_config(trials=5), Hypothesis.H0, workers=1)
+        assert engine_rows == []
+
+    def test_the_routine_is_looked_up_once_per_process(self, fresh_fill, monkeypatch, fake_pool):
+        opened = []
+        pydll = ctypes.PyDLL
+
+        def opening(path):
+            opened.append(path)
+            return pydll(path)
+
+        monkeypatch.setattr(ctypes, "PyDLL", opening)
+        for seed in (1, 2, 3):
+            simulate_statistics(make_config(trials=5, master_seed=seed), Hypothesis.H1, workers=1)
+        [y] = simulate_sweep([make_config(trials=25)], Hypothesis.H0, workers=2)
+        assert fake_pool == [(2, 2)]
+        assert opened == [np.random._generator.__file__]
+        assert y.tolist() == reference_statistics(make_config(trials=25), Hypothesis.H0, 0, 25)
 
 
 class TestCounterViews:
