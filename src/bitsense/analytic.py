@@ -218,20 +218,29 @@ def moments(
     return TheoryMoments(p * m, p * (1.0 - p) * m, hypothesis, mode)
 
 
+def _gaussian_tails(thresholds: np.ndarray, mean: float, var: float, direction) -> list[float]:
+    """`gaussian_tail` at every threshold of a float array, in order."""
+    if var == 0.0:
+        return [float(detector.decide(mean, eta, direction)) for eta in thresholds.tolist()]
+    gap = thresholds - mean if direction is DetectorDirection.GREATER_IS_H1 else mean - thresholds
+    return list(map(q_function, (gap / math.sqrt(var)).tolist()))
+
+
 def gaussian_tail(eta: float, mean: float, var: float, direction: DetectorDirection) -> float:
     """P(decide H1) for a Gaussian statistic, honoring the test direction.
 
     A zero variance (paper-literal mode at r = 0) degenerates to a point
-    mass at the mean: the tail is the detector's own decision on it.  A
-    direction that is not a DetectorDirection raises ValueError.
+    mass at the mean: the tail is the detector's own decision on it.
+    eta = +-inf gives 0.0 or 1.0.  A NaN eta or mean, a NaN or negative
+    var, or a direction that is not a DetectorDirection raise ValueError.
     """
     _require_member(direction, DetectorDirection, "direction")
-    if var == 0.0:
-        return float(detector.decide(mean, eta, direction))
-    sd = math.sqrt(var)
-    if direction is DetectorDirection.GREATER_IS_H1:
-        return q_function((eta - mean) / sd)
-    return q_function((mean - eta) / sd)
+    for name, value in (("eta", eta), ("mean", mean)):
+        if math.isnan(value):
+            raise ValueError(f"{name} is NaN: the tail is undefined")
+    if not var >= 0:
+        raise ValueError(f"var must be >= 0, got {var!r}")
+    return _gaussian_tails(np.array([eta], dtype=float), mean, var, direction)[0]
 
 
 H1_VARIANCE_OK = "ok"
@@ -244,12 +253,10 @@ def gaussian_rates(params: ModelParams, mode: TheoryMode, thresholds):
 
     Returns ``(pfa, pd, h1_flag)``: lists of floats in threshold order,
     with every ``pd`` entry None when the mode's H1 variance is negative,
-    and ``h1_flag`` one of the ``H1_VARIANCE_*`` constants.  The tails
-    follow ``RunConfig.direction``: downward for r < 0, else upward.
-    Each tail is `gaussian_tail`'s to the last bit: numpy rounds each
-    elementwise step as Python does, and every tail goes through
-    ``math.erfc``.  Raises ValueError for params that `model.validate`
-    rejects and for a grid that breaks `detector.threshold_violations`.
+    and ``h1_flag`` one of the ``H1_VARIANCE_*`` constants.  Each tail is
+    `gaussian_tail`'s in ``RunConfig.direction``: downward for r < 0, else
+    upward.  Raises ValueError for params that `model.validate` rejects
+    and for a grid that breaks `detector.threshold_violations`.
     """
     m0 = moments(params, Hypothesis.H0, mode)
     m1 = moments(params, Hypothesis.H1, mode)
@@ -258,18 +265,11 @@ def gaussian_rates(params: ModelParams, mode: TheoryMode, thresholds):
     if problems:
         raise ValueError("invalid thresholds: " + problems[0])
     direction = _direction_of(params.r)
-
-    def tails(m: TheoryMoments) -> list[float]:
-        if m.variance == 0.0:
-            return [gaussian_tail(eta, m.mean, 0.0, direction) for eta in thresholds.tolist()]
-        upward = direction is DetectorDirection.GREATER_IS_H1
-        z = (thresholds - m.mean if upward else m.mean - thresholds) / math.sqrt(m.variance)
-        return [0.5 * math.erfc(x) for x in (z / _SQRT2).tolist()]
-
+    pfa = _gaussian_tails(thresholds, m0.mean, m0.variance, direction)
     if m1.variance < 0:
-        return tails(m0), [None] * len(thresholds), H1_VARIANCE_NEGATIVE
+        return pfa, [None] * len(thresholds), H1_VARIANCE_NEGATIVE
     flag = H1_VARIANCE_ZERO if m1.variance == 0 else H1_VARIANCE_OK
-    return tails(m0), tails(m1), flag
+    return pfa, _gaussian_tails(thresholds, m1.mean, m1.variance, direction), flag
 
 
 def theory_roc(

@@ -389,7 +389,7 @@ def run_validation_suite(trials: int, master_seed: int, workers: int | None) -> 
     # end thresholds q = 2**-19, where a normal band is narrower than one
     # firing.  `analytic._binomial_tails` is within 1e-8 (relative) of the
     # exact tails, so only a p that close to the level could flip.
-    level = math.erfc(3.0 * math.sqrt(2.5))
+    level = 2.0 * analytic.q_function(3.0 * math.sqrt(5.0))
     pooled = 5 * trials
     m = config.params.pairs_total
     upper = np.zeros(m + 2, dtype=np.int64)

@@ -424,6 +424,10 @@ def test_zero_variance_tail_is_the_detector_decision(direction):
     for eta in (4.5, 5.0, 5.5):
         assert gaussian_tail(eta, 5.0, 0.0, direction) == float(decide(5.0, eta, direction))
     assert gaussian_tail(5.0, 5.0, 0.0, direction) == 1.0  # a tie fires either way
+    upward = direction is DetectorDirection.GREATER_IS_H1
+    for var in (0.0, 4.0):
+        assert gaussian_tail(math.inf, 5.0, var, direction) == (0.0 if upward else 1.0)
+        assert gaussian_tail(-math.inf, 5.0, var, direction) == (1.0 if upward else 0.0)
 
 
 def test_negative_paper_variance_gives_a_none_pd_per_threshold():
@@ -549,6 +553,17 @@ def curve_at(eta) -> RocCurve:
             lambda: gaussian_tail(12, 10, 4, "greater"),
             "direction must be a DetectorDirection, got 'greater'",
         ),
+        (lambda: gaussian_tail(math.nan, 10, 4, DetectorDirection.GREATER_IS_H1), "eta is NaN"),
+        (lambda: gaussian_tail(math.nan, 10, 0, DetectorDirection.LESS_IS_H1), "eta is NaN"),
+        (lambda: gaussian_tail(12, math.nan, 4, DetectorDirection.GREATER_IS_H1), "mean is NaN"),
+        (
+            lambda: gaussian_tail(12, 10, math.nan, DetectorDirection.GREATER_IS_H1),
+            "var must be >= 0, got nan",
+        ),
+        (
+            lambda: gaussian_tail(12, 10, -4.0, DetectorDirection.LESS_IS_H1),
+            r"var must be >= 0, got -4\.0",
+        ),
         (
             lambda: firing_mass(np.array([10, 7, 3, 0]), [1.5], "greater"),
             "direction must be a DetectorDirection, got 'greater'",
@@ -579,7 +594,9 @@ def curve_at(eta) -> RocCurve:
         "curve-short-pfa", "curve-scalar-pfa", "config-mode-str",
         "echo-mode-str", "echo-trials=0", "echo-seed=-1",
         "moments-hypothesis-str", "moments-hypothesis-int", "moments-mode-str",
-        "decide-direction-str", "gaussian-tail-direction-str", "firing-mass-direction-str",
+        "decide-direction-str", "gaussian-tail-direction-str",
+        "gaussian-tail-eta-nan", "gaussian-tail-eta-nan-var=0", "gaussian-tail-mean-nan",
+        "gaussian-tail-var-nan", "gaussian-tail-var<0", "firing-mass-direction-str",
         "agreement-method-str", "draw-width-hypothesis-str", "observe-hypothesis-str",
         "observe-draws-hypothesis-str",
         "simulate-hypothesis-str", "seed-for-trial-hypothesis-str",
