@@ -231,8 +231,10 @@ def gaussian_tail(eta: float, mean: float, var: float, direction: DetectorDirect
 
     A zero variance (paper-literal mode at r = 0) degenerates to a point
     mass at the mean: the tail is the detector's own decision on it.
-    eta = +-inf gives 0.0 or 1.0.  A NaN eta or mean, a NaN or negative
-    var, or a direction that is not a DetectorDirection raise ValueError.
+    eta = +-inf gives 0.0 or 1.0 at a finite var.  A NaN eta or mean, a NaN
+    or negative var, a var > 0 at which (eta - mean) / sqrt(var) is NaN
+    (inf - inf or inf / inf), or a direction that is not a DetectorDirection
+    raise ValueError.
     """
     _require_member(direction, DetectorDirection, "direction")
     for name, value in (("eta", eta), ("mean", mean)):
@@ -240,6 +242,8 @@ def gaussian_tail(eta: float, mean: float, var: float, direction: DetectorDirect
             raise ValueError(f"{name} is NaN: the tail is undefined")
     if not var >= 0:
         raise ValueError(f"var must be >= 0, got {var!r}")
+    if var > 0 and math.isnan((float(eta) - float(mean)) / math.sqrt(var)):
+        raise ValueError(f"eta {eta!r}, mean {mean!r} and var {var!r}: the tail is undefined")
     return _gaussian_tails(np.array([eta], dtype=float), mean, var, direction)[0]
 
 

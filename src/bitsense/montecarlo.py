@@ -133,7 +133,7 @@ def seed_for_trial(
 
 
 class _PhiloxState(ctypes.Structure):
-    """numpy's C ``philox_state``, as `_counter_views` checks it."""
+    """numpy's C ``philox_state``, as `_normal_fill` checks it."""
 
     _fields_ = [
         ("counter", ctypes.POINTER(ctypes.c_uint64 * 4)), ("key", ctypes.c_void_p),
@@ -144,34 +144,34 @@ class _PhiloxState(ctypes.Structure):
 
 def _counter_views(bitgen: np.random.Philox) -> tuple:
     """Writable views of a Philox's four counter words and its buffer_pos,
-    valid while it lives and left at a fresh stream (counter 0, buffer_pos 4,
-    has_uint32 0).  A probe state set through the public `state` setter must
-    first read back through `_PhiloxState` at ``bitgen.ctypes.state_address``,
-    fields without pointers before the counter pointer, or RuntimeError."""
-    state = bitgen.state
-    key = state["state"]["key"]
-    probe = {"buffer": [5, 6, 7, 8], "buffer_pos": 3, "has_uint32": 1, "uinteger": 9}
-    bitgen.state = {**state, **probe, "state": {"counter": [1, 2, 3, 4], "key": key}}
+    valid while it lives, in the layout `_normal_fill` checks."""
     c = _PhiloxState.from_address(bitgen.ctypes.state_address)
-    fields = (list(c.buffer), c.buffer_pos, c.has_uint32, c.uinteger)
-    if fields != tuple(probe.values()) or list(c.counter.contents) != [1, 2, 3, 4]:
-        raise RuntimeError(f"numpy {np.__version__}'s Philox state is not laid out as expected")
-    fresh = {"buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    bitgen.state = {**state, **fresh, "state": {"counter": [0, 0, 0, 0], "key": key}}
     pos = ctypes.c_int.from_address(ctypes.addressof(c) + _PhiloxState.buffer_pos.offset)
     return c.counter.contents, pos
 
 
 @functools.cache
 def _normal_fill():
-    """numpy's C ``random_standard_normal_fill``, looked up once per process; RuntimeError
-    unless it draws as `Generator.standard_normal` from Philox(79), ziggurat tail draw 4 too."""
-    probe, expected = np.zeros(256), np.random.Generator(np.random.Philox(79)).standard_normal(256)
-    bitgen, lib = np.random.Philox(79), ctypes.PyDLL(np.random._generator.__file__)
+    """numpy's C ``random_standard_normal_fill``, looked up and checked once per process on
+    the route `_run_sweep_trials` draws by, or RuntimeError.  A probe state set on a throwaway
+    Philox through the `state` setter must read back through `_PhiloxState`, pointer-free
+    fields first; reset in place by `_counter_views` (counter words 0-3, buffer_pos 4) to H1
+    trial 17 of seed 0, it must fill the normals `seed_for_trial` draws (draw 83: tail)."""
+    key, lib = _philox_key(0), ctypes.PyDLL(np.random._generator.__file__)
+    bitgen = np.random.Philox(key=key)
+    probe = {"buffer": [5, 6, 7, 8], "buffer_pos": 3, "has_uint32": 1, "uinteger": 9}
+    bitgen.state = {**bitgen.state, **probe, "state": {"counter": [1, 2, 3, 4], "key": key}}
+    c = _PhiloxState.from_address(bitgen.ctypes.state_address)
+    read = (list(c.buffer), c.buffer_pos, c.has_uint32, c.uinteger)
+    if read != tuple(probe.values()) or list(c.counter.contents) != [1, 2, 3, 4]:
+        raise RuntimeError(f"numpy {np.__version__}'s Philox state is not laid out as expected")
+    row, expected = np.zeros(256), seed_for_trial(0, Hypothesis.H1, 17).standard_normal(256)
+    counter, pos = _counter_views(bitgen)
+    counter[0], counter[1], counter[2], counter[3], pos.value = 0, 0, 17, Hypothesis.H1.value, 4
     if fill := getattr(lib, "random_standard_normal_fill", None):
         fill.restype = None  # PyDLL, which keeps the GIL, and no argtypes: a cheaper call
-        fill(bitgen.ctypes.bit_generator, ctypes.c_ssize_t(256), probe.ctypes)
-    if not fill or not np.array_equal(probe, expected):
+        fill(bitgen.ctypes.bit_generator, ctypes.c_ssize_t(256), row.ctypes)
+    if not fill or not np.array_equal(row, expected):
         raise RuntimeError(f"numpy {np.__version__}: no random_standard_normal_fill as expected")
     return fill
 
@@ -185,16 +185,16 @@ def _run_sweep_trials(
 ) -> list[np.ndarray]:
     """Statistics of trials [start, stop) for each params[i].
 
-    The key is the Philox key of the one master seed all params share.  One
-    Philox is reset in place to each trial's fresh stream (counter words 0 and
-    2 and buffer_pos, through `_counter_views`) and drawn by `_normal_fill`,
-    so it draws exactly what `seed_for_trial` would; both raise RuntimeError
-    on a numpy they do not know.  A trial's normals fill one row of a chunk
-    buffer as wide as the widest params (see RNG_SCHEME).  Params that differ
-    only in N form a family: the same n and sigma2, and under H1 the same
-    source.  A member's bits are the first N sensors of its family's widest
-    member, so each family runs the source, quantizer and count once, and a
-    member with N sensors reads column N - 1 of the running per-sensor counts.
+    The key is the Philox key of the one master seed all params share.  A fresh
+    Philox (counter 0, buffer_pos 4) is reset in place to each trial's stream
+    (words 0 and 2 and buffer_pos, through `_counter_views`) and drawn by
+    `_normal_fill`, which checks that route once per process against
+    `seed_for_trial`.  A trial's normals fill one row of a chunk buffer as wide
+    as the widest params (see RNG_SCHEME).  Params that differ only in N form a
+    family: the same n and sigma2, and under H1 the same source.  A member's
+    bits are the first N sensors of its family's widest member, so each family
+    runs the source, quantizer and count once, and a member with N sensors
+    reads column N - 1 of the running per-sensor counts.
     """
     h1 = hypothesis is Hypothesis.H1
     families: dict[tuple, list[int]] = {}

@@ -430,6 +430,17 @@ def test_zero_variance_tail_is_the_detector_decision(direction):
         assert gaussian_tail(-math.inf, 5.0, var, direction) == (1.0 if upward else 0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("direction", list(DetectorDirection))
+def test_infinite_inputs_with_a_defined_tail_keep_their_answer(direction):
+    upward = direction is DetectorDirection.GREATER_IS_H1
+    assert gaussian_tail(1.0, math.inf, 4.0, direction) == (1.0 if upward else 0.0)
+    assert gaussian_tail(1.0, -math.inf, 4.0, direction) == (0.0 if upward else 1.0)
+    assert gaussian_tail(math.inf, -math.inf, 4.0, direction) == (0.0 if upward else 1.0)
+    assert gaussian_tail(1.0, 1.0, math.inf, direction) == 0.5
+    assert gaussian_tail(math.inf, math.inf, 0.0, direction) == 1.0  # a tie fires either way
+
+
 def test_negative_paper_variance_gives_a_none_pd_per_threshold():
     pfa, pd, flag = gaussian_rates(make_params(), TheoryMode.PAPER_LITERAL, [8.5, 9.5, 10.5])
     assert flag == H1_VARIANCE_NEGATIVE
@@ -565,6 +576,22 @@ def curve_at(eta) -> RocCurve:
             r"var must be >= 0, got -4\.0",
         ),
         (
+            lambda: gaussian_tail(math.inf, math.inf, 4.0, DetectorDirection.GREATER_IS_H1),
+            "eta inf, mean inf and var 4.0: the tail is undefined",
+        ),
+        (
+            lambda: gaussian_tail(-math.inf, -math.inf, 4.0, DetectorDirection.LESS_IS_H1),
+            "eta -inf, mean -inf and var 4.0: the tail is undefined",
+        ),
+        (
+            lambda: gaussian_tail(math.inf, 1.0, math.inf, DetectorDirection.GREATER_IS_H1),
+            "eta inf, mean 1.0 and var inf: the tail is undefined",
+        ),
+        (
+            lambda: gaussian_tail(1.0, -math.inf, math.inf, DetectorDirection.LESS_IS_H1),
+            "eta 1.0, mean -inf and var inf: the tail is undefined",
+        ),
+        (
             lambda: firing_mass(np.array([10, 7, 3, 0]), [1.5], "greater"),
             "direction must be a DetectorDirection, got 'greater'",
         ),
@@ -596,12 +623,15 @@ def curve_at(eta) -> RocCurve:
         "moments-hypothesis-str", "moments-hypothesis-int", "moments-mode-str",
         "decide-direction-str", "gaussian-tail-direction-str",
         "gaussian-tail-eta-nan", "gaussian-tail-eta-nan-var=0", "gaussian-tail-mean-nan",
-        "gaussian-tail-var-nan", "gaussian-tail-var<0", "firing-mass-direction-str",
+        "gaussian-tail-var-nan", "gaussian-tail-var<0", "gaussian-tail-inf-inf",
+        "gaussian-tail-minus-inf-inf", "gaussian-tail-inf-var-inf",
+        "gaussian-tail-mean-inf-var-inf", "firing-mass-direction-str",
         "agreement-method-str", "draw-width-hypothesis-str", "observe-hypothesis-str",
         "observe-draws-hypothesis-str",
         "simulate-hypothesis-str", "seed-for-trial-hypothesis-str",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_public_edge_refuses_what_its_rule_refuses(build, rule):
     with pytest.raises(ValueError, match=rule):
         build()
