@@ -70,15 +70,16 @@ def _csv_text(header: str, blocks: list[dict], comments=()) -> str:
     """Comment lines, the header, then each block's rows in the header's column order.
 
     A block maps a column to a list of floats (9 significant digits, None
-    as nan) or to `repeat` of a string.
+    as nan) or to `repeat` of a string; one format string writes a row.
     """
     lines = [*comments, header]
     for block in blocks:
-        table = (
-            ["nan" if x is None else "%.9g" % x for x in v] if isinstance(v, list) else v
+        table = [
+            [math.nan if x is None else x for x in v] if isinstance(v, list) else v
             for v in map(block.get, header.split(","))
-        )
-        lines += map(",".join, zip(*table))
+        ]
+        row = ",".join("%.9g" if isinstance(v, list) else "%s" for v in table)
+        lines += (row % cells for cells in zip(*table))
     return "\n".join(lines) + "\n"
 
 

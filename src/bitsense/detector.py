@@ -57,9 +57,14 @@ def decide(y_count: int, eta: float, direction: DetectorDirection) -> int:
     return int(y_count <= eta)
 
 
+def _upper_table(histogram: np.ndarray) -> np.ndarray:
+    """The one rule from counts to an upper table: mass at counts >= k, per k."""
+    return np.cumsum(histogram[::-1])[::-1]
+
+
 def upper_counts(counts: np.ndarray, m: int) -> np.ndarray:
     """Number of counts >= k for k = 0..m+1, for integer counts in 0..m."""
-    return np.cumsum(np.bincount(counts, minlength=m + 2)[::-1])[::-1]
+    return _upper_table(np.bincount(counts, minlength=m + 2))
 
 
 def firing_mass(upper: np.ndarray, thresholds, direction: DetectorDirection) -> np.ndarray:

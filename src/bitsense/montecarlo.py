@@ -106,9 +106,9 @@ class RunConfig:
 
 
 #: Upper bound on the engine's per-chunk normal buffer.  Every array the
-#: chunk math makes is about this size or smaller, so only the chunk
-#: buffers are bounded: each share still keeps one int64 per trial per
-#: config for the statistics it returns.
+#: chunk math makes is about this size or smaller.  An ROC sweep keeps
+#: only a count histogram per config besides, so its memory is flat in the
+#: trial count; the per-trial API keeps one int64 per trial per config.
 CHUNK_BYTES = 256 * 1024
 
 
@@ -182,8 +182,10 @@ def _run_sweep_trials(
     hypothesis: Hypothesis,
     start: int,
     stop: int,
+    histograms: bool = False,
 ) -> list[np.ndarray]:
-    """Statistics of trials [start, stop) for each params[i].
+    """Statistics of trials [start, stop) for each params[i], or with
+    ``histograms`` their counts at Y = 0..m+1 (m = params[i].pairs_total).
 
     The key is the Philox key of the one master seed all params share.  A fresh
     Philox (counter 0, buffer_pos 4) is reset in place to each trial's stream
@@ -215,7 +217,7 @@ def _run_sweep_trials(
     counter[3] = hypothesis.value
     state, count, row = bitgen.ctypes.bit_generator, ctypes.c_ssize_t(widest), ctypes.c_void_p()
     addresses = range(draws.ctypes.data, draws.ctypes.data + draws.nbytes, 8 * widest)
-    outs = [np.empty(stop - start, dtype=np.int64) for _ in params]
+    outs = [np.zeros(p.pairs_total + 2 if histograms else stop - start, np.int64) for p in params]
     for lo in range(start, stop, chunk):
         rows = draws[: min(chunk, stop - lo)]
         for t, row.value in zip(range(lo, lo + len(rows)), addresses):
@@ -227,7 +229,10 @@ def _run_sweep_trials(
             bits = signal.observe_draws(wide, hypothesis, rows[:, :width], factor=factor)
             counts = detector.sensor_counts(bits)
             for i, column in columns:
-                outs[i][at] = counts[:, column]
+                if histograms:
+                    outs[i] += np.bincount(counts[:, column], minlength=len(outs[i]))
+                else:
+                    outs[i][at] = counts[:, column]
     return outs
 
 
@@ -293,12 +298,14 @@ def _fork_map(shares: list[list[tuple]]) -> list[list[list[np.ndarray]]]:
 
     This process runs share 0 and one forked child runs each other
     share, sending its results back through its own pipe, so a single
-    share forks nothing.  Where this process cannot fork or runs other
-    threads, whose locks a forked child would inherit held and never see
-    released, it runs every share itself, in order.  A child's exception
-    is raised here.  Every pipe not yet read is closed before the
-    children are reaped, so a child blocked writing a large result gets
-    a broken pipe and exits instead of hanging the wait.
+    share forks nothing.  A histogram task's result is m + 2 counts a
+    config at any trial count; a per-trial task's is one int64 a trial.
+    Where this process cannot fork or runs other threads, whose locks a
+    forked child would inherit held and never see released, it runs
+    every share itself, in order.  A child's exception is raised here.
+    Every pipe not yet read is closed before the children are reaped, so
+    a child blocked writing a large result gets a broken pipe and exits
+    instead of hanging the wait.
     """
     local = 1 if hasattr(os, "fork") and threading.active_count() == 1 else len(shares)
     pids: list[int] = []
@@ -331,9 +338,10 @@ def _fork_map(shares: list[list[tuple]]) -> list[list[list[np.ndarray]]]:
 
 
 def _simulate(
-    jobs: list[tuple[RunConfig, Hypothesis]], workers: int | None
+    jobs: list[tuple[RunConfig, Hypothesis]], workers: int | None, histograms: bool = False
 ) -> list[np.ndarray]:
-    """Per-trial statistics of each (config, hypothesis) job, in input order.
+    """Per-trial statistics of each (config, hypothesis) job, in input order,
+    or with ``histograms`` each job's counts at Y = 0..m+1.
 
     Jobs that share a master seed, a trial count and a hypothesis form a
     group, drawn in one pass: a trial's stream depends only on the seed,
@@ -342,10 +350,11 @@ def _simulate(
     call makes one share per worker, but no more than its largest group
     has trials, so every share has trials; share w holds range w of each
     group's trials, and one `_fork_map` call runs the shares.  Each job's
-    statistics are its group's ranges joined in order, so the result is
-    identical for any worker count.  `_worker_count` sets the count, at
-    most ``max(2, usable CPUs)``, from ``workers`` or, if it is None, from
-    the call's normals (each group's trials times its widest draw).
+    statistics are its group's ranges joined in order, and its histogram
+    the sum of theirs, so the result is identical for any worker count.
+    `_worker_count` sets the count, at most ``max(2, usable CPUs)``, from
+    ``workers`` or, if it is None, from the call's normals (each group's
+    trials times its widest draw).
     """
     for config, hypothesis in jobs:
         config.require_valid()
@@ -359,17 +368,19 @@ def _simulate(
     )
     workers = min(_worker_count(workers, draws), max((t for _, t, _ in groups), default=1))
     shares: list[list[tuple]] = [[] for _ in range(workers)]
+    extra = (True,) if histograms else ()  # per-trial tasks keep five arguments
     for (seed, trials, hypothesis), members in groups.items():
         params = [jobs[i][0].params for i in members]
         bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
         key = _philox_key(seed)
         for share, a, b in zip(shares, bounds[:-1], bounds[1:]):
-            share.append((params, key, hypothesis, a, b))
+            share.append((params, key, hypothesis, a, b, *extra))
     parts = _fork_map(shares)
+    join = sum if histograms else np.concatenate
     results: list[np.ndarray] = [None] * len(jobs)
     for g, members in enumerate(groups.values()):
         for k, i in enumerate(members):
-            results[i] = np.concatenate([part[g][k] for part in parts])
+            results[i] = join([part[g][k] for part in parts])
     return results
 
 
@@ -394,17 +405,16 @@ def estimate_sweep(
 ) -> list[RocCurve]:
     """Empirical ROC of each config, in input order.
 
-    One `_simulate` call draws both hypotheses' statistics for every
-    config, so a sweep forks at most once; each is then reduced to its
-    firing rate per threshold.
+    One `_simulate` call draws both hypotheses for every config, so a
+    sweep forks at most once, and reduces each to a count histogram inside
+    the engine, so memory stays flat at any trial count.  Each histogram's
+    upper table gives its firing rate per threshold.
     """
     jobs = [(c, h) for h in (Hypothesis.H0, Hypothesis.H1) for c in configs]
     rates = [
-        detector.firing_mass(
-            detector.upper_counts(y, c.params.pairs_total), c.thresholds, c.direction
-        )
-        / len(y)
-        for (c, _), y in zip(jobs, _simulate(jobs, workers))
+        detector.firing_mass(detector._upper_table(histogram), c.thresholds, c.direction)
+        / c.trials
+        for (c, _), histogram in zip(jobs, _simulate(jobs, workers, histograms=True))
     ]
     return [
         RocCurve(

@@ -159,6 +159,30 @@ def test_an_roc_sweep_reaps_every_child():
     assert done.stdout == "reaped\n"
 
 
+def test_a_forked_roc_share_sends_the_same_bytes_at_any_trial_count():
+    # each child's pickled result is one count histogram per config and
+    # hypothesis, so 8 and 4000 trials send results of one size
+    body = """
+    import pickle
+    sizes = []
+    loads = pickle.loads
+    pickle.loads = lambda data: (sizes.append(len(data)), loads(data))[1]
+    configs = [
+        montecarlo.RunConfig(ModelParams(n=4, num_sensors=N, sigma_s2=1.0, r=0.5, sigma2=1e-4), 1, trials)
+        for trials in (8, 4000)
+        for N in (1, 2)
+    ]
+    montecarlo.estimate_sweep(configs[:2], workers=3)
+    small, sizes[:] = sizes[:], []
+    montecarlo.estimate_sweep(configs[2:], workers=3)
+    assert len(small) == 2 and sizes == small, (small, sizes)
+    print("reaped" if no_child_left() else "child left")
+    """
+    done = run_script(body)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "reaped\n"
+
+
 def h1_config(trials: int) -> RunConfig:
     params = ModelParams(n=20, num_sensors=3, sigma_s2=1.0, r=0.5, sigma2=1e-4)
     return RunConfig(params, master_seed=7, trials=trials)

@@ -2,6 +2,7 @@ import ctypes
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from bitsense.analytic import (
 )
 from bitsense.cli import _curve_blocks, _json_rows, main, parse_config_file
 from bitsense.curves import RocCurve, RocSource
-from bitsense.detector import direction_for, sweep_thresholds
+from bitsense.detector import direction_for, firing_mass, sweep_thresholds, upper_counts
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams
 from bitsense.montecarlo import (
     H1_VARIANCE_NEGATIVE,
@@ -570,6 +571,66 @@ class TestSweepEngine:
     def test_an_roc_sweep_draws_each_trial_once_per_hypothesis(self, resets):
         estimate_sweep(MIXED_SWEEP, workers=1)
         assert len(resets) == 2 * (130 + 130 + 150 + 41)
+
+
+class TestHistogramSweep:
+    """An ROC sweep reduces each config's counts to a histogram inside the
+    engine; its rates are those of the per-trial counts."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        configs=st.lists(
+            st.builds(
+                sweep_config,
+                n=st.integers(2, 12),
+                num_sensors=st.integers(1, 4),
+                r=st.sampled_from([-0.45, -0.2, 0.0, 0.3, 0.5]),
+                sigma_s2=st.just(1.0),
+                sigma2=st.sampled_from([1e-4, 2.0]),
+                trials=st.sampled_from([1, 2, 7, 13]),
+                master_seed=st.sampled_from([1, 2]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        workers=st.integers(1, 3),
+        chunk_bytes=st.sampled_from([1, 1000, montecarlo.CHUNK_BYTES]),
+    )
+    def test_rates_are_the_firing_mass_of_the_per_trial_counts(
+        self, fake_pool, cpus, monkeypatch, configs, workers, chunk_bytes
+    ):
+        # 1000-byte chunks hold 2-20 trials, so chunk edges fall inside shares
+        cpus(3)
+        monkeypatch.setattr(montecarlo, "CHUNK_BYTES", chunk_bytes)
+        curves = estimate_sweep(configs, workers=workers)
+        for hypothesis, rates in (
+            (Hypothesis.H0, [c.pfa for c in curves]),
+            (Hypothesis.H1, [c.pd for c in curves]),
+        ):
+            for config, y, rate in zip(configs, simulate_sweep(configs, hypothesis), rates):
+                upper = upper_counts(y, config.params.pairs_total)
+                expected = firing_mass(upper, config.thresholds, config.direction) / len(y)
+                assert rate.tolist() == expected.tolist()
+
+    def test_memory_stays_flat_in_the_trial_count(self, monkeypatch):
+        # 16 KiB chunks; as per-trial int64s, the two hypotheses' 10000
+        # trials alone would take 156 KiB, above the bound
+        monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 16 * 1024)
+        config = make_config(n=4, trials=10000, master_seed=3)
+        bound = 128 * 1024
+        assert 2 * config.trials * 8 > bound
+        estimate_sweep([config], workers=1)  # once-per-process lookups first
+        tracemalloc.start()
+        try:
+            estimate_sweep([config], workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class CountingWords:
