@@ -435,6 +435,8 @@ def cmd_validate(args) -> int:
     trials = 2000 if args.quick else 20000
     if args.trials is not None:
         trials = args.trials
+    if trials < 2:
+        raise ConfigError(f"--trials must be >= 2 for the 1- vs 2-worker replay, got {trials}")
     out_path = Path(args.out)
     if out_path.is_dir():
         raise ConfigError(f"--out {out_path} is a directory; give the report's file path")

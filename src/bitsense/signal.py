@@ -94,9 +94,9 @@ def sample_signal(
 def quantize(x):
     """One-bit indicator of the sign: 1 for x >= 0, else 0.
 
-    Accepts scalars or arrays; arrays come back as uint8.
+    Accepts scalars or arrays; an array comes back as a uint8 view, not a copy.
     """
-    bits = (np.asarray(x) >= 0).astype(np.uint8)
+    bits = (np.asarray(x) >= 0).view(np.uint8)
     if bits.ndim == 0:
         return int(bits)
     return bits
@@ -132,8 +132,8 @@ def observe_draws(
         return quantize(noise)
     if factor is None:
         factor = factor_covariance(params)
-    s = factor.apply(draws[..., :n])
-    return quantize(s[..., np.newaxis, :] + noise)
+    noise += factor.apply(draws[..., :n])[..., np.newaxis, :]
+    return quantize(noise)
 
 
 def observe(

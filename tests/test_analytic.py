@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from bitsense import analytic
 from bitsense.analytic import (
     H1_VARIANCE_NEGATIVE,
     AgreementMethod,
@@ -129,6 +130,49 @@ class TestOrthant:
             orthant_prob_closed(1.0, 1.0, 1.0)
         with pytest.raises(NonPositiveDefiniteError):
             orthant_prob_closed(-1.0, 0.0, 1.0)
+
+
+def stored_legendre_rules():
+    """The full rules `_orthant_rules` builds from the stored halves."""
+    for nodes, weights in analytic._LEGENDRE_HALVES:
+        full_nodes = np.concatenate((np.negative(nodes[::-1]), nodes))
+        yield full_nodes, np.concatenate((weights[::-1], weights))
+
+
+def test_the_stored_legendre_rules_are_symmetric_32_and_64_point_rules():
+    assert [len(nodes) for nodes, _ in stored_legendre_rules()] == [32, 64]
+    for nodes, weights in stored_legendre_rules():
+        assert len(weights) == len(nodes)
+        assert np.all(np.diff(nodes) > 0) and -1.0 < nodes[0] and nodes[-1] < 1.0
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        assert np.all(weights > 0)
+
+
+def test_the_stored_legendre_rules_are_numpys_leggauss():
+    # not to the bit: leggauss solves an eigenproblem through the LAPACK
+    # build, and another root path moved weights by up to ~900 ulps
+    for nodes, weights in stored_legendre_rules():
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(len(nodes))
+        np.testing.assert_allclose(nodes, want_nodes, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(weights, want_weights, rtol=1e-12, atol=0)
+
+
+def test_the_stored_legendre_rules_integrate_every_monomial_they_should():
+    # a d-point Gauss rule is exact for every polynomial of degree <= 2d - 1
+    for nodes, weights in stored_legendre_rules():
+        for k in range(2 * len(nodes)):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(float(np.dot(weights, nodes**k)) - exact) <= 1e-14, (len(nodes), k)
+
+
+def test_the_quadrature_does_not_call_leggauss(monkeypatch):
+    def refuse(degree):
+        raise AssertionError(f"leggauss({degree}) called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    analytic._orthant_rules.cache_clear()
+    quad = orthant_prob_quadrature(1.0, 0.999, 1.0)
+    assert abs(quad - orthant_prob_closed(1.0, 0.999, 1.0)) <= 1e-12
 
 
 class TestAgreementProb:

@@ -304,21 +304,28 @@ class TestUsageErrors:
 
 
 def test_building_the_cli_does_not_import_scipy(tmp_path):
-    # numpy is the only runtime dependency: scipy would cost most of start-up
+    # numpy is the only runtime dependency: scipy would cost most of start-up.
+    # The quadrature's rules are stored, so nothing loads numpy.polynomial
+    # (and its LAPACK-backed leggauss) that `import numpy` did not: numpy 1.x
+    # imports it eagerly, numpy 2 only on first use.
     src = str(Path(bitsense.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     report = tmp_path / "report.json"
     for run in ("cli.build_parser()", f"cli.main(['validate', '--quick', '--out', {str(report)!r}])"):
         code = (
             "import sys\n"
+            "import numpy\n"
+            "numpy_only = set(sys.modules)\n"
             "from bitsense import cli\n"
             f"{run}\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "new = set(sys.modules) - numpy_only\n"
+            "print(sorted(m for m in new if m.startswith('numpy.polynomial')))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert done.stdout.splitlines()[-2:] == ["[]", "[]"]
     assert json.loads(report.read_text())["all_passed"]
 
 

@@ -1,5 +1,6 @@
-"""CLI error paths: an output path that is a file or lies below one, a config
-line with no '=', and a config too large for memory."""
+"""CLI error paths: an output path that is a file or lies below one, a
+validate run too small for its replay, a config line with no '=', and a
+config too large for memory."""
 
 import pytest
 
@@ -35,6 +36,25 @@ def test_validate_fails_on_an_out_below_a_file_before_any_check(tmp_path, capsys
     assert "PASS" not in captured.out
     assert calls == []
     assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("trials", ["1", "0"])
+def test_validate_refuses_too_few_trials_for_its_two_worker_replay(
+    tmp_path, capsys, monkeypatch, trials
+):
+    # one trial makes one share, so the "1 vs 2 workers" replay would fork
+    # nothing and still print PASS
+    calls = []
+    monkeypatch.setattr(montecarlo, "simulate_statistics", lambda *args: calls.append(args))
+    report = tmp_path / "r.json"
+    assert main(["validate", "--trials", trials, "--out", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: --trials must be >= 2 for the 1- vs 2-worker replay, got {trials}\n"
+    )
+    assert captured.out == ""
+    assert calls == []
+    assert not report.exists()
 
 
 def test_a_config_line_without_an_equals_sign_is_a_usage_error(tmp_path, capsys):
