@@ -14,7 +14,6 @@ Exit codes: 0 ok, 1 check failure, 2 usage/config/IO error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -363,7 +362,8 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 def run_validation_suite(trials: int, master_seed: int, workers: int | None) -> list[dict]:
     """Built-in oracle suite: closed form vs quadrature, Monte Carlo on
     ``workers`` vs exact binomial, and a 1- vs 2-worker determinism replay."""
-    _, config = _build(dict(label="validate", n=20, r=0.5), trials=trials, seed=master_seed)
+    suite = dict(label="validate", n=20, r=0.5)
+    _, config = _build(suite, trials=trials, seed=master_seed)
     checks = []
 
     # Agreement probability: arcsine closed form against the quadrature
@@ -383,22 +383,19 @@ def run_validation_suite(trials: int, master_seed: int, workers: int | None) -> 
     )
 
     # Empirical H0 firings against the exact binomial tail q at every
-    # threshold.  Pooled over 5 derived seeds, the firing count K is
+    # threshold.  In one pooled sample of 5 * trials the firing count K is
     # Binomial(5 * trials, q); a threshold fails when K's exact two-sided
-    # p-value is below 2*Phi(-3*sqrt(5)) ~ 1.97e-11, the level of a
-    # 3-sigma band on one run's rate.  The test is exact because at the
+    # p-value is below 2*Phi(-3*sqrt(5)) ~ 1.97e-11, the level of a 3-sigma
+    # band on a trials-sized run's rate.  The test is exact because at the
     # end thresholds q = 2**-19, where a normal band is narrower than one
     # firing.  `analytic._binomial_tails` is within 1e-8 (relative) of the
     # exact tails, so only a p that close to the level could flip.
     level = 2.0 * analytic.q_function(3.0 * math.sqrt(5.0))
     pooled = 5 * trials
-    m = config.params.pairs_total
-    upper = np.zeros(m + 2, dtype=np.int64)
-    for offset in range(5):
-        sub = dataclasses.replace(config, master_seed=(master_seed + offset) % 2**64)
-        stats = montecarlo.simulate_statistics(sub, Hypothesis.H0, workers)
-        upper += detector.upper_counts(stats, m)
-    fired = detector.firing_mass(upper, config.thresholds, config.direction)
+    _, pool = _build(suite, trials=pooled, seed=master_seed)
+    stats = montecarlo.simulate_statistics(pool, Hypothesis.H0, workers)
+    upper = detector.upper_counts(stats, pool.params.pairs_total)
+    fired = detector.firing_mass(upper, pool.thresholds, pool.direction)
     exact = montecarlo.exact_h0_rates(config)
     tables = (analytic._binomial_tails(pooled, q) for q in exact.tolist())
     tails = [min(lower[k], upper[k]) for k, (lower, upper) in zip(fired.tolist(), tables)]
@@ -410,7 +407,7 @@ def run_validation_suite(trials: int, master_seed: int, workers: int | None) -> 
             bool(p[j] >= level),
             f"most binding threshold eta={config.thresholds[j]}: {fired[j]} of "
             f"{pooled} fired, exact rate {exact[j]:.3g}, two-sided binomial "
-            f"p = {p[j]:.3g} (level {level:.3g}; {trials} trials x 5 seeds)",
+            f"p = {p[j]:.3g} (level {level:.3g}; {pooled} pooled H0 trials)",
         )
     )
 

@@ -368,13 +368,12 @@ def _simulate(
     )
     workers = min(_worker_count(workers, draws), max((t for _, t, _ in groups), default=1))
     shares: list[list[tuple]] = [[] for _ in range(workers)]
-    extra = (True,) if histograms else ()  # per-trial tasks keep five arguments
     for (seed, trials, hypothesis), members in groups.items():
         params = [jobs[i][0].params for i in members]
         bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
         key = _philox_key(seed)
         for share, a, b in zip(shares, bounds[:-1], bounds[1:]):
-            share.append((params, key, hypothesis, a, b, *extra))
+            share.append((params, key, hypothesis, a, b, histograms))
     parts = _fork_map(shares)
     join = sum if histograms else np.concatenate
     results: list[np.ndarray] = [None] * len(jobs)

@@ -128,7 +128,8 @@ def observe_draws(
     N, n = params.num_sensors, params.n
     noise = (params.noise_std * draws[..., -N * n :]).reshape(*draws.shape[:-1], N, n)
     if hypothesis is Hypothesis.H0:
-        # scaled, not sign-tested: an underflow to -0.0 quantizes to 1
+        # scaled, not sign-tested: validate's canary, a -0.003 quantizer offset,
+        # is 0.3 noise SDs here, which validate catches, but 0.003 SDs of raw draws
         return quantize(noise)
     if factor is None:
         factor = factor_covariance(params)

@@ -504,10 +504,11 @@ def test_shared_draw_sweep_matches_the_recorded_sha256s(tmp_path):
 
 class TestValidateChecks:
     def test_binomial_check_passes_where_one_firing_broke_the_normal_band(self, tmp_path):
-        # at seed 11 one H0 trial in 10000 has Y = 0, more than a normal
-        # band at q = 2**-19 allowed
+        # at seed 123456789 one pooled H0 trial in 10000 has Y = 0, more
+        # than a normal band at q = 2**-19 allowed
         report_path = tmp_path / "report.json"
-        assert main(["validate", "--quick", "--seed", "11", "--out", str(report_path)]) == 0
+        argv = ["validate", "--quick", "--seed", "123456789", "--out", str(report_path)]
+        assert main(argv) == 0
         assert json.loads(report_path.read_text())["all_passed"] is True
 
     @pytest.mark.parametrize(
@@ -581,10 +582,12 @@ def test_long_record_outputs_match_the_recorded_sha256s(tmp_path):
 
 #: sha256 of the `validate --quick --seed 11` report and of the
 #: `roc --preset fig3 --trials 300 --seed 5` manifest with its wall-clock
-#: time masked, recorded before the empirical rates, the exact H0 oracle
-#: and validate's H0 check read one count-threshold rule.  The manifest
-#: carries each CSV's sha256.  Same platform caveats as RECORDED_SHA256.
-RECORDED_VALIDATE_SHA256 = "76a801e3b1a8aad6266a3954ecb07eb7147953b6dbb8daad7d0814a4d92b074b"
+#: time masked.  The manifest's was recorded before the empirical rates
+#: and the exact H0 oracle read one count-threshold rule, and carries each
+#: CSV's sha256; the report's when validate's H0 check became one pooled
+#: sample of 5 x trials at the run's seed.  Same platform caveats as
+#: RECORDED_SHA256.
+RECORDED_VALIDATE_SHA256 = "03f9bcd10825363da84f1c304a930144a7113069d3a8ee1a0aac49041c37ce7d"
 RECORDED_MASKED_MANIFEST_SHA256 = "5b1e5ee97aa6ed11f11f1e086487679aa66f963f203e13715da8d15fcdc5b8df"
 
 
@@ -742,14 +745,15 @@ def test_json_manifest_checksums_match_files(tmp_path):
         assert digest == entry["sha256"]
 
 
-#: stdout of `validate --quick --trials 200 --seed 11`, recorded before every
-#: CLI file went through one writer.  Same platform caveats as RECORDED_SHA256.
+#: stdout of `validate --quick --trials 200 --seed 11`, recorded when
+#: validate's H0 check became one pooled sample.  Same platform caveats as
+#: RECORDED_SHA256.
 RECORDED_VALIDATE_STDOUT = (
     "PASS agreement-closed-form-vs-quadrature: max |closed - quadrature| = 1.11e-16 "
     "(tolerance 1e-6)\n"
-    "PASS empirical-h0-vs-exact-binomial: most binding threshold eta=4.5: 996 of 1000 "
-    "fired, exact rate 0.99, two-sided binomial p = 0.074 (level 1.97e-11; 200 trials "
-    "x 5 seeds)\n"
+    "PASS empirical-h0-vs-exact-binomial: most binding threshold eta=8.5: 698 of 1000 "
+    "fired, exact rate 0.676, two-sided binomial p = 0.149 (level 1.97e-11; 1000 pooled "
+    "H0 trials)\n"
     "PASS determinism-serial-vs-parallel: H1 statistics identical for 1 and 2 workers\n"
     "wrote {out}\n"
 )
@@ -779,11 +783,11 @@ def test_validate_runs_one_two_worker_pool_at_any_trial_count(tmp_path, monkeypa
     assert fake_pool == [(2, 2)]
 
 
-def test_validate_makes_seven_engine_calls_of_its_trial_count(
+def test_validate_makes_three_engine_calls_of_seven_times_its_trial_count(
     tmp_path, monkeypatch, fake_pool, cpus
 ):
-    # benchmarks/ reads validate's call and trial counts (7 and 7 x 40)
-    # through these calls
+    # benchmarks/ reads validate's trial count (7 x 40) through these calls:
+    # one pooled H0 sample of 5 x 40, then the 1- vs 2-worker H1 replay
     calls = []
     simulate = bitsense.montecarlo.simulate_statistics
 
@@ -797,7 +801,7 @@ def test_validate_makes_seven_engine_calls_of_its_trial_count(
     argv = ["validate", "--quick", "--trials", "40", "--out", str(tmp_path / "report.json")]
     assert main(argv) == 0
     h0, h1 = bitsense.Hypothesis.H0, bitsense.Hypothesis.H1
-    assert calls == [(40, h0, 3)] * 5 + [(40, h1, 1), (40, h1, 2)]
+    assert calls == [(200, h0, 3), (40, h1, 1), (40, h1, 2)]
 
 
 def test_the_workers_env_var_is_capped_at_the_usable_cpus(tmp_path, monkeypatch, fake_pool, cpus):

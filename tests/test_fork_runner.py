@@ -67,7 +67,7 @@ FAILURES = {
     # past a pipe's buffer: the parent must close the pipe, not wait.
     "parent-raises": (
         """
-        def run(params, key, hypothesis, start, stop):
+        def run(*task):
             if os.getpid() == PARENT:
                 raise ValueError("parent")
             return [np.zeros(1 << 20, dtype=np.int64)]
@@ -77,30 +77,30 @@ FAILURES = {
     ),
     "child-raises": (
         """
-        def run(params, key, hypothesis, start, stop):
+        def run(*task):
             if os.getpid() != PARENT:
                 raise ValueError("x")
-            return real_run(params, key, hypothesis, start, stop)
+            return real_run(*task)
         """,
         ValueError,
         "x",
     ),
     "child-raises-what-will-not-pickle": (
         """
-        def run(params, key, hypothesis, start, stop):
+        def run(*task):
             if os.getpid() != PARENT:
                 raise ValueError(lambda: 0)
-            return real_run(params, key, hypothesis, start, stop)
+            return real_run(*task)
         """,
         RuntimeError,
         "worker 1 failed: ValueError(<function",
     ),
     "child-exits-without-a-result": (
         """
-        def run(params, key, hypothesis, start, stop):
+        def run(*task):
             if os.getpid() != PARENT:
                 os._exit(3)
-            return real_run(params, key, hypothesis, start, stop)
+            return real_run(*task)
         """,
         RuntimeError,
         "worker 1 (pid ",
@@ -278,9 +278,9 @@ def ranges_run_in_process(monkeypatch) -> list[tuple[int, int]]:
     ranges = []
     real_run = montecarlo._run_sweep_trials
 
-    def run(params, key, hypothesis, start, stop):
-        ranges.append((start, stop))
-        return real_run(params, key, hypothesis, start, stop)
+    def run(*task):
+        ranges.append(task[3:5])
+        return real_run(*task)
 
     monkeypatch.setattr(montecarlo, "_run_sweep_trials", run)
     return ranges
