@@ -9,22 +9,20 @@ deterministic Monte Carlo ROC engine.
 from .analytic import (
     AgreementMethod,
     AgreementProb,
-    NegativeVarianceError,
     TheoryMode,
     TheoryMoments,
     agreement_prob,
     exact_h0_tail,
+    gaussian_rates,
     moments,
     orthant_prob_closed,
     orthant_prob_quadrature,
     q_function,
-    theory_roc,
 )
 from .curves import RocCurve, RocSource
 from .detector import (
     DimensionMismatchError,
     decide,
-    direction_for,
     statistic,
     sweep_thresholds,
 )
@@ -59,4 +57,4 @@ from .signal import (
     sample_signal,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

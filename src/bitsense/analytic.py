@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detector
-from .curves import RocCurve, RocSource
 from .model import (
     DetectorDirection,
     Hypothesis,
@@ -87,10 +86,6 @@ class TheoryMode(enum.Enum):
 class AgreementMethod(enum.Enum):
     CLOSED_FORM = "closed-form"
     QUADRATURE = "quadrature"
-
-
-class NegativeVarianceError(ValueError):
-    """The paper-literal H1 variance is negative; refused, never patched."""
 
 
 @dataclass(frozen=True)
@@ -288,8 +283,11 @@ def gaussian_rates(params: ModelParams, mode: TheoryMode, thresholds):
     with every ``pd`` entry None when the mode's H1 variance is negative,
     and ``h1_flag`` one of the ``H1_VARIANCE_*`` constants.  Each tail is
     `gaussian_tail`'s in ``RunConfig.direction``: downward for r < 0, else
-    upward.  Raises ValueError for params that `model.validate` rejects
-    and for a grid that breaks `detector.threshold_violations`.
+    upward.  At r = 0 the consistent mode is the chance diagonal, which is
+    exact for one sensor only: with N >= 2 the shared source inflates
+    Var(Y | H1) about N-fold, which neither mode models.  Raises ValueError
+    for params that `model.validate` rejects and for a grid that breaks
+    `detector.threshold_violations`.
     """
     m0 = moments(params, Hypothesis.H0, mode)
     m1 = moments(params, Hypothesis.H1, mode)
@@ -303,39 +301,6 @@ def gaussian_rates(params: ModelParams, mode: TheoryMode, thresholds):
         return pfa, [None] * len(thresholds), H1_VARIANCE_NEGATIVE
     flag = H1_VARIANCE_ZERO if m1.variance == 0 else H1_VARIANCE_OK
     return pfa, _gaussian_tails(thresholds, m1.mean, m1.variance, direction), flag
-
-
-def theory_roc(
-    params: ModelParams,
-    mode: TheoryMode,
-    thresholds,
-) -> RocCurve:
-    """Gaussian-approximation ROC: Pfa and Pd at every threshold.
-
-    Pfa = Q((eta - mean_H0)/sd_H0) and Pd = Q((eta - mean_H1)/sd_H1) for
-    an upward test; for r < 0 the tails flip to lower-tail
-    probabilities.  r = 0 has no defined direction; the upward
-    convention is used, under which both modes reduce to the chance
-    diagonal.  That is exact for one sensor only: with N >= 2 the shared
-    source inflates Var(Y | H1) about N-fold, which neither mode models,
-    and the empirical ROC lies above the diagonal.  Raises
-    :class:`NegativeVarianceError` in paper-literal mode when p > 1/2,
-    and ValueError for a grid that breaks `detector.threshold_violations`.
-    """
-    pfa, pd, flag = gaussian_rates(params, mode, thresholds)
-    if flag == H1_VARIANCE_NEGATIVE:
-        variance = moments(params, Hypothesis.H1, mode).variance
-        p = agreement_prob(params).p
-        raise NegativeVarianceError(
-            f"H1 variance {variance:.6g} < 0 in paper-literal mode "
-            f"(p = {p:.6g} > 1/2); use TheoryMode.CONSISTENT"
-        )
-    source = (
-        RocSource.THEORY_PAPER_LITERAL
-        if mode is TheoryMode.PAPER_LITERAL
-        else RocSource.THEORY_CONSISTENT
-    )
-    return RocCurve(eta=thresholds, pfa=pfa, pd=pd, source=source, trials_used=0)
 
 
 #: Fair coins up to this many trials are summed in integers, whose work

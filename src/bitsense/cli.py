@@ -398,7 +398,7 @@ def run_validation_suite(trials: int, master_seed: int, workers: int | None) -> 
     fired = detector.firing_mass(upper, pool.thresholds, pool.direction)
     exact = montecarlo.exact_h0_rates(config)
     tables = (analytic._binomial_tails(pooled, q) for q in exact.tolist())
-    tails = [min(lower[k], upper[k]) for k, (lower, upper) in zip(fired.tolist(), tables)]
+    tails = [min(cdf[k], sf[k]) for k, (cdf, sf) in zip(fired.tolist(), tables)]
     p = np.minimum(1.0, 2.0 * np.array(tails))
     j = int(np.argmin(p))
     checks.append(

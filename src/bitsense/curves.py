@@ -12,8 +12,6 @@ from . import detector
 
 class RocSource(enum.Enum):
     EMPIRICAL = "empirical"
-    THEORY_PAPER_LITERAL = "theory-paper-literal"
-    THEORY_CONSISTENT = "theory-consistent"
     EXACT_H0_HYBRID = "exact-h0-hybrid"
 
 

@@ -83,12 +83,6 @@ def firing_mass(upper: np.ndarray, thresholds, direction: DetectorDirection) -> 
     return upper[0] - upper[np.clip(np.floor(thresholds) + 1, 0, last).astype(np.intp)]
 
 
-def direction_for(params: ModelParams) -> DetectorDirection:
-    """Test direction for a parameter set; r = 0 is a construction error:
-    its informative test is two-sided (`DetectorDirection.from_correlation`)."""
-    return DetectorDirection.from_correlation(params.r)
-
-
 def sweep_thresholds(params: ModelParams) -> np.ndarray:
     """Canonical threshold grid -0.5, 0.5, ..., (n-1)N + 0.5.
 

@@ -32,25 +32,6 @@ class DetectorDirection(enum.Enum):
     GREATER_IS_H1 = "greater"
     LESS_IS_H1 = "less"
 
-    @classmethod
-    def from_correlation(cls, r: float) -> "DetectorDirection":
-        """Direction implied by the sign of the lag-1 covariance.
-
-        ``r = 0`` and NaN are rejected, each with its own message, because
-        neither has a sign to give a direction.  At r = 0 with N >= 2 the
-        mean of Y is the same under both hypotheses and Var(Y | H1) is
-        about N times larger, so the informative test is two-sided;
-        ``RunConfig.direction`` runs r = 0 with the upward convention.
-        """
-        if math.isnan(r):
-            raise ValueError("r is NaN: a NaN correlation has no sign, so no test direction")
-        if r == 0:
-            raise ValueError(
-                "r = 0: the sign of r gives no test direction; "
-                "RunConfig.direction uses the upward convention"
-            )
-        return _direction_of(r)
-
 
 def _direction_of(r: float) -> DetectorDirection:
     """The one sign-of-r rule: downward for r < 0, else the upward convention."""

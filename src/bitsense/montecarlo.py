@@ -18,12 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import analytic, detector, signal
-from .analytic import (  # the H1_VARIANCE_* flags are also importable from here
-    H1_VARIANCE_NEGATIVE,
-    H1_VARIANCE_OK,
-    H1_VARIANCE_ZERO,
-    TheoryMode,
-)
+from .analytic import TheoryMode
 from .curves import RocCurve, RocSource, _equal_by_value, _read_only
 from .model import (
     DetectorDirection, Hypothesis, ModelParams, _direction_of, _is_int, _require_member, validate
@@ -493,64 +488,23 @@ def _joined_columns(
     return joined
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One threshold's empirical, Gaussian-theory, and exact-oracle rates.
-
-    ``pd_theory`` is None when the configured mode's H1 variance is
-    negative; ``h1_flag`` states why.  The ``dev_*`` fields are the
-    per-cell absolute deviations.
-    """
-
-    eta: float
-    pfa_emp: float
-    pfa_theory: float
-    pfa_exact: float
-    pd_emp: float
-    pd_theory: float | None
-    h1_flag: str = H1_VARIANCE_OK
-
-    @property
-    def dev_pfa_emp_exact(self) -> float:
-        return abs(self.pfa_emp - self.pfa_exact)
-
-    @property
-    def dev_pfa_theory_exact(self) -> float:
-        return abs(self.pfa_theory - self.pfa_exact)
-
-    @property
-    def dev_pd_emp_theory(self) -> float | None:
-        if self.pd_theory is None:
-            return None
-        return abs(self.pd_emp - self.pd_theory)
-
-
-@dataclass(frozen=True)
-class TheoryComparison:
-    config: RunConfig
-    agreement_p: float
-    rows: tuple[ComparisonRow, ...]
-
-
 def compare_theory(
     config: RunConfig,
     empirical: RocCurve | None = None,
     workers: int | None = None,
-) -> TheoryComparison:
+) -> tuple[str, dict[str, list]]:
     """Join empirical rates, Gaussian theory, and exact H0 tails per threshold.
 
-    The H0 theory column is mode-independent.  For the H1 column the
-    configured theory mode applies; a negative paper-literal variance is
-    surfaced as a per-row flag rather than an exception so the rest of
-    the table stays usable.
+    Returns the configured theory mode's ``(h1_flag, columns)`` from
+    `_joined_columns`, the columns in the ``roc`` CSV's order.  A negative
+    paper-literal H1 variance shows as the flag with ``pd_theory`` all
+    None, so the rest of the table stays usable.  ``empirical`` None runs
+    `estimate_rates` on ``workers``.
     """
     config.require_valid()
     if empirical is None:
         empirical = estimate_rates(config, workers)
-    [(flag, c)] = _joined_columns(config, empirical, (config.theory_mode,))
-    rows = tuple(ComparisonRow(**dict(zip(c, row)), h1_flag=flag) for row in zip(*c.values()))
-    p = analytic.agreement_prob(config.params).p
-    return TheoryComparison(config=config, agreement_p=p, rows=rows)
+    return _joined_columns(config, empirical, (config.theory_mode,))[0]
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ from hypothesis.extra import numpy as hnp
 from bitsense import analytic
 from bitsense.analytic import (
     H1_VARIANCE_NEGATIVE,
+    H1_VARIANCE_OK,
+    H1_VARIANCE_ZERO,
     AgreementMethod,
     _EXACT_MAX,
     _binomial_tails,
-    NegativeVarianceError,
     TheoryMode,
     agreement_prob,
     exact_h0_tail,
@@ -24,7 +25,6 @@ from bitsense.analytic import (
     orthant_prob_closed,
     orthant_prob_quadrature,
     q_function,
-    theory_roc,
 )
 from bitsense.curves import RocCurve, RocSource
 from bitsense.detector import decide, firing_mass, sweep_thresholds
@@ -296,45 +296,48 @@ class TestMoments:
 
 class TestTheoryRoc:
     def test_pfa_half_at_h0_mean(self):
-        curve = theory_roc(make_params(), TheoryMode.CONSISTENT, [9.5])
-        assert curve.pfa[0] == 0.5
+        pfa, _, _ = gaussian_rates(make_params(), TheoryMode.CONSISTENT, [9.5])
+        assert pfa[0] == 0.5
 
     def test_pd_half_at_h1_mean(self):
         params = make_params()
         mean = moments(params, Hypothesis.H1, TheoryMode.CONSISTENT).mean
-        curve = theory_roc(params, TheoryMode.CONSISTENT, [mean])
-        assert curve.pd[0] == 0.5
+        _, pd, _ = gaussian_rates(params, TheoryMode.CONSISTENT, [mean])
+        assert pd[0] == 0.5
 
     def test_a_model_that_validate_rejects_is_refused(self):
         # sigma_s2 < 2|r|: the source covariance is not positive definite
         with pytest.raises(ValueError, match="not positive definite"):
-            theory_roc(make_params(r=0.6), TheoryMode.CONSISTENT, [9.5, 12.5])
+            gaussian_rates(make_params(r=0.6), TheoryMode.CONSISTENT, [9.5, 12.5])
 
     def test_paper_literal_refuses_negative_variance(self):
-        with pytest.raises(NegativeVarianceError):
-            theory_roc(make_params(), TheoryMode.PAPER_LITERAL, [9.5])
+        _, pd, flag = gaussian_rates(make_params(), TheoryMode.PAPER_LITERAL, [9.5])
+        assert flag == H1_VARIANCE_NEGATIVE
+        assert pd == [None]
 
     def test_paper_literal_works_for_negative_r(self):
         # p < 1/2 keeps the printed variance positive; tails flip downward
-        curve = theory_roc(make_params(r=-0.3), TheoryMode.PAPER_LITERAL, [9.5])
-        assert curve.pfa[0] == pytest.approx(0.5)
+        pfa, _, flag = gaussian_rates(make_params(r=-0.3), TheoryMode.PAPER_LITERAL, [9.5])
+        assert flag == H1_VARIANCE_OK
+        assert pfa[0] == pytest.approx(0.5)
 
     def test_reverse_direction_flips_tail_orientation(self):
         params = make_params(r=-0.3)
         thresholds = [5.0, 9.5, 14.0]
-        curve = theory_roc(params, TheoryMode.CONSISTENT, thresholds)
-        assert np.all(np.diff(curve.pfa) > 0)  # lower-tail: grows with eta
+        pfa, _, _ = gaussian_rates(params, TheoryMode.CONSISTENT, thresholds)
+        assert np.all(np.diff(pfa) > 0)  # lower-tail: grows with eta
 
     def test_zero_correlation_consistent_is_diagonal(self):
         params = make_params(r=0.0)
-        curve = theory_roc(params, TheoryMode.CONSISTENT, [3.0, 9.5, 16.0])
-        assert curve.pd == pytest.approx(curve.pfa)
+        pfa, pd, _ = gaussian_rates(params, TheoryMode.CONSISTENT, [3.0, 9.5, 16.0])
+        assert pd == pytest.approx(pfa)
 
     def test_zero_correlation_paper_literal_is_degenerate_step(self):
         # paper-literal H1 variance is exactly 0 at r = 0: point mass at (n-1)N
         params = make_params(r=0.0)
-        curve = theory_roc(params, TheoryMode.PAPER_LITERAL, [9.5, 18.9, 19.1])
-        assert curve.pd.tolist() == [1.0, 1.0, 0.0]
+        _, pd, flag = gaussian_rates(params, TheoryMode.PAPER_LITERAL, [9.5, 18.9, 19.1])
+        assert flag == H1_VARIANCE_ZERO
+        assert pd == [1.0, 1.0, 0.0]
 
 
 class TestExactH0Tail:
@@ -533,9 +536,8 @@ def test_gaussian_rates_are_the_scalar_tails_to_the_last_bit(
 def test_theory_refuses_a_grid_that_breaks_the_one_threshold_rule(thresholds, rule):
     params = make_params(r=0.4)
     message = f"thresholds must be {rule}"
-    for build in (gaussian_rates, theory_roc):
-        with pytest.raises(ValueError, match=message):
-            build(params, TheoryMode.CONSISTENT, thresholds)
+    with pytest.raises(ValueError, match=message):
+        gaussian_rates(params, TheoryMode.CONSISTENT, thresholds)
     assert any(message in v for v in RunConfig(params, 1, thresholds=thresholds).violations())
 
 
@@ -703,7 +705,7 @@ def test_curves_configs_and_theory_refuse_the_same_grids(grid):
     params = make_params(r=0.4)
     problems = RunConfig(params, 1, thresholds=grid).violations()
     expected = [f"invalid thresholds: {p}" for p in problems[:1]]
-    for build in (curve_at, lambda g: theory_roc(params, TheoryMode.CONSISTENT, g)):
+    for build in (curve_at, lambda g: gaussian_rates(params, TheoryMode.CONSISTENT, g)):
         try:
             build(grid)
             refused = []
@@ -713,10 +715,10 @@ def test_curves_configs_and_theory_refuse_the_same_grids(grid):
 
 
 def test_negative_variance_message_is_unchanged():
-    # recorded before gaussian_rates became the one negative-variance rule
-    with pytest.raises(NegativeVarianceError) as info:
-        theory_roc(make_params(), TheoryMode.PAPER_LITERAL, [9.5, 10.5])
-    assert str(info.value) == (
-        "H1 variance -8.44328 < 0 in paper-literal mode (p = 0.666648 > 1/2); "
-        "use TheoryMode.CONSISTENT"
-    )
+    # a negative paper-literal variance is a flag and None pd, and the
+    # variance and p that show why are one call each
+    params = make_params()
+    _, pd, flag = gaussian_rates(params, TheoryMode.PAPER_LITERAL, [9.5, 10.5])
+    assert (flag, pd) == (H1_VARIANCE_NEGATIVE, [None, None])
+    variance = moments(params, Hypothesis.H1, TheoryMode.PAPER_LITERAL).variance
+    assert (f"{variance:.6g}", f"{agreement_prob(params).p:.6g}") == ("-8.44328", "0.666648")

@@ -668,20 +668,18 @@ def test_cli_presets_resolve_through_expand_preset(tmp_path, monkeypatch):
     ] * 3
 
 
-#: The public names `bitsense` exports (submodules aside), recorded before
-#: the direction, tie and join rules were each merged into one
-#: implementation.
+#: The public names `bitsense` exports (submodules aside) since 0.2.0, as
+#: the README's "Public surface" lists them.
 PUBLIC_NAMES = [
     "AgreementMethod", "AgreementProb", "BidiagonalFactor", "DetectorDirection",
-    "DimensionMismatchError", "Hypothesis", "ModelParams", "NegativeVarianceError",
-    "NonPositiveDefiniteError", "RNG_SCHEME", "RocCurve", "RocSource", "RunConfig",
-    "RunManifest", "TheoryMode", "TheoryMoments", "ValidationReport", "agreement_prob",
-    "compare_theory", "decide", "direction_for", "estimate_rates", "estimate_sweep",
-    "exact_h0_rates", "exact_h0_tail", "exact_hybrid_curve", "factor_covariance",
-    "moments", "observe", "orthant_prob_closed", "orthant_prob_quadrature", "q_function",
-    "quantize", "reconstruct_covariance", "require_valid", "sample_signal",
-    "seed_for_trial", "simulate_statistics", "simulate_sweep", "statistic",
-    "sweep_thresholds", "theory_roc", "validate",
+    "DimensionMismatchError", "Hypothesis", "ModelParams", "NonPositiveDefiniteError",
+    "RNG_SCHEME", "RocCurve", "RocSource", "RunConfig", "RunManifest", "TheoryMode",
+    "TheoryMoments", "ValidationReport", "agreement_prob", "compare_theory", "decide",
+    "estimate_rates", "estimate_sweep", "exact_h0_rates", "exact_h0_tail",
+    "exact_hybrid_curve", "factor_covariance", "gaussian_rates", "moments", "observe",
+    "orthant_prob_closed", "orthant_prob_quadrature", "q_function", "quantize",
+    "reconstruct_covariance", "require_valid", "sample_signal", "seed_for_trial",
+    "simulate_statistics", "simulate_sweep", "statistic", "sweep_thresholds", "validate",
 ]
 
 

@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 from bitsense.detector import (
     DimensionMismatchError,
     decide,
-    direction_for,
     firing_mass,
     sensor_counts,
     statistic,
@@ -143,13 +142,6 @@ def test_firing_mass_counts_the_trials_decide_fires_at(data, m):
     for direction in (GREATER, LESS):
         expected = [sum(decide(y, eta, direction) for y in counts) for eta in thresholds]
         assert firing_mass(upper, thresholds, direction).tolist() == expected
-
-
-def test_direction_for_requires_nonzero_r():
-    assert direction_for(make_params(r=0.2)) is GREATER
-    assert direction_for(make_params(r=-0.2)) is LESS
-    with pytest.raises(ValueError):
-        direction_for(make_params(r=0.0))
 
 
 def criterion_transcription(bits, eta):

@@ -7,6 +7,7 @@ from bitsense.model import (
     DetectorDirection,
     Hypothesis,
     ModelParams,
+    _direction_of,
     require_valid,
     validate,
 )
@@ -89,21 +90,10 @@ def test_pairs_total():
 
 
 def test_direction_from_correlation():
-    assert DetectorDirection.from_correlation(0.3) is DetectorDirection.GREATER_IS_H1
-    assert DetectorDirection.from_correlation(-0.3) is DetectorDirection.LESS_IS_H1
-    with pytest.raises(ValueError):
-        DetectorDirection.from_correlation(0.0)
-
-
-def test_direction_errors_name_their_cause():
-    with pytest.raises(ValueError, match="^r is NaN"):
-        DetectorDirection.from_correlation(float("nan"))
-    with pytest.raises(ValueError) as zero:
-        DetectorDirection.from_correlation(0.0)
-    assert str(zero.value) == (
-        "r = 0: the sign of r gives no test direction; "
-        "RunConfig.direction uses the upward convention"
-    )
+    # the one sign-of-r rule; r = 0 takes the upward convention
+    assert _direction_of(0.3) is DetectorDirection.GREATER_IS_H1
+    assert _direction_of(-0.3) is DetectorDirection.LESS_IS_H1
+    assert _direction_of(0.0) is DetectorDirection.GREATER_IS_H1
 
 
 def test_hypothesis_tags():

@@ -12,20 +12,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bitsense import montecarlo, signal
 from bitsense.analytic import (
-    NegativeVarianceError,
+    H1_VARIANCE_NEGATIVE,
+    H1_VARIANCE_OK,
+    H1_VARIANCE_ZERO,
     TheoryMode,
+    agreement_prob,
     exact_h0_tail,
     gaussian_rates,
     moments,
-    theory_roc,
 )
 from bitsense.cli import _curve_blocks, _json_rows, main, parse_config_file
 from bitsense.curves import RocCurve, RocSource
-from bitsense.detector import direction_for, firing_mass, sweep_thresholds, upper_counts
+from bitsense.detector import firing_mass, sweep_thresholds, upper_counts
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams
 from bitsense.montecarlo import (
-    H1_VARIANCE_NEGATIVE,
-    H1_VARIANCE_ZERO,
     RunConfig,
     compare_theory,
     config_to_dict,
@@ -341,36 +341,36 @@ class TestExactRates:
 class TestCompareTheory:
     def test_empirical_h0_column_tracks_exact_oracle(self):
         config = make_config()  # seed 42, 20000 trials
-        report = compare_theory(config)
-        for row in report.rows:
-            band = 3.0 * math.sqrt(row.pfa_exact * (1 - row.pfa_exact) / config.trials)
-            assert row.dev_pfa_emp_exact <= band + 1e-15
+        _, columns = compare_theory(config)
+        for emp, exact in zip(columns["pfa_emp"], columns["pfa_exact"]):
+            band = 3.0 * math.sqrt(exact * (1 - exact) / config.trials)
+            assert abs(emp - exact) <= band + 1e-15
 
     def test_gaussian_h0_column_is_close_to_exact(self):
         # quality of the CLT approximation at n=20, N=1
         config = make_config(trials=200)
-        report = compare_theory(config)
-        assert max(r.dev_pfa_theory_exact for r in report.rows) <= 0.02
+        _, columns = compare_theory(config)
+        pairs = zip(columns["pfa_theory"], columns["pfa_exact"])
+        assert max(abs(theory - exact) for theory, exact in pairs) <= 0.02
 
     def test_paper_literal_negative_variance_is_flagged_per_row(self):
         config = make_config(trials=200, theory_mode=TheoryMode.PAPER_LITERAL)
-        report = compare_theory(config)
-        assert all(r.h1_flag == H1_VARIANCE_NEGATIVE for r in report.rows)
-        assert all(r.pd_theory is None for r in report.rows)
-        assert all(r.dev_pd_emp_theory is None for r in report.rows)
+        flag, columns = compare_theory(config)
+        assert flag == H1_VARIANCE_NEGATIVE
+        assert columns["pd_theory"] == [None] * len(config.thresholds)
 
     def test_consistent_mode_rows_carry_values(self):
         config = make_config(trials=200)
-        report = compare_theory(config)
-        assert all(r.h1_flag == "ok" for r in report.rows)
-        assert all(r.pd_theory is not None for r in report.rows)
-        assert all(r.dev_pd_emp_theory == abs(r.pd_emp - r.pd_theory) for r in report.rows)
-        assert report.agreement_p == pytest.approx(0.6666482912, abs=1e-6)
+        flag, columns = compare_theory(config)
+        assert flag == H1_VARIANCE_OK == "ok"
+        pairs = zip(columns["pd_emp"], columns["pd_theory"])
+        assert all(math.isfinite(abs(emp - theory)) for emp, theory in pairs)
+        assert agreement_prob(config.params).p == pytest.approx(0.6666482912, abs=1e-6)
 
     def test_zero_correlation_paper_mode_reports_zero_variance(self):
         config = make_config(r=0.0, trials=200, theory_mode=TheoryMode.PAPER_LITERAL)
-        report = compare_theory(config)
-        assert all(r.h1_flag == H1_VARIANCE_ZERO for r in report.rows)
+        flag, _ = compare_theory(config)
+        assert flag == H1_VARIANCE_ZERO
         # the two modes genuinely disagree on the H1 mean at r = 0 and the
         # report keeps the configured mode's numbers rather than hiding it
         paper = moments(config.params, Hypothesis.H1, TheoryMode.PAPER_LITERAL)
@@ -390,8 +390,8 @@ class TestCompareTheory:
     def test_reuses_precomputed_empirical_curve(self):
         config = make_config(trials=500)
         empirical = estimate_rates(config)
-        report = compare_theory(config, empirical=empirical)
-        assert [r.pfa_emp for r in report.rows] == empirical.pfa.tolist()
+        _, columns = compare_theory(config, empirical=empirical)
+        assert columns["pfa_emp"] == empirical.pfa.tolist()
 
 
 def test_config_to_dict_echoes_everything_needed_for_replay():
@@ -413,7 +413,7 @@ def test_config_to_dict_echoes_everything_needed_for_replay():
 @pytest.mark.parametrize(
     "text, flags",
     [
-        # paper-mode H1 variance is negative: theory_roc refuses, the tables flag it
+        # paper-mode H1 variance is negative: the tables flag it, pd_theory None
         ("n = 20\nr = 0.5\n", {"paper": "NEGATIVE", "consistent": "ok"}),
         # downward test at non-integer thresholds
         (
@@ -434,20 +434,15 @@ def test_theory_roc_compare_theory_and_theory_table_agree(tmp_path, text, flags)
     library_flag = {"ok": "ok", "NEGATIVE": "negative-variance", "ZERO": "zero-variance"}
     for mode in TheoryMode:
         rows = [row for row in table if row["mode"] == mode.value]
-        report = compare_theory(replace(config, theory_mode=mode), empirical=empirical)
+        flag, columns = compare_theory(replace(config, theory_mode=mode), empirical=empirical)
+        pfa, pd, rates_flag = gaussian_rates(config.params, mode, config.thresholds)
         assert [row["eta"] for row in rows] == config.thresholds.tolist()
         assert {row["h1_variance_flag"] for row in rows} == {flags[mode.value]}
-        assert {r.h1_flag for r in report.rows} == {library_flag[flags[mode.value]]}
-        assert [row["pfa_theory"] for row in rows] == [r.pfa_theory for r in report.rows]
-        assert [row["pd_theory"] for row in rows] == [r.pd_theory for r in report.rows]
+        assert flag == rates_flag == library_flag[flags[mode.value]]
+        assert [row["pfa_theory"] for row in rows] == columns["pfa_theory"] == pfa
+        assert [row["pd_theory"] for row in rows] == columns["pd_theory"] == pd
         if flags[mode.value] == "NEGATIVE":
             assert all(row["pd_theory"] is None for row in rows)
-            with pytest.raises(NegativeVarianceError):
-                theory_roc(config.params, mode, config.thresholds)
-            continue
-        curve = theory_roc(config.params, mode, config.thresholds)
-        assert curve.pfa.tolist() == [row["pfa_theory"] for row in rows]
-        assert curve.pd.tolist() == [row["pd_theory"] for row in rows]
 
 
 class TestThresholdRules:
@@ -925,13 +920,19 @@ def test_every_direction_reader_follows_the_sign_of_r(r, n, num_sensors):
     # an upward test fires less often as the threshold rises, a downward one more
     pfa, _, _ = gaussian_rates(params, TheoryMode.CONSISTENT, [-0.5, params.pairs_total + 0.5])
     theory = DetectorDirection.GREATER_IS_H1 if pfa[0] > pfa[1] else DetectorDirection.LESS_IS_H1
-    assert DetectorDirection.from_correlation(r) is expected
-    assert direction_for(params) is expected
     assert RunConfig(params=params, master_seed=1).direction is expected
     assert theory is expected
 
 
-@pytest.mark.parametrize("text", ["n = 20\nr = 0.5\n", "n = 12\nnum_sensors = 3\nr = -0.3\n"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n = 20\nr = 0.5\n",
+        "n = 12\nnum_sensors = 3\nr = -0.3\n",
+        "n = 20\nnum_sensors = 2\nr = 0\n",
+        "n = 20\nr = 0.5\nmode = paper\n",
+    ],
+)
 def test_compare_theory_rows_are_the_roc_rows_of_their_mode(tmp_path, text):
     cfg = tmp_path / "join.cfg"
     cfg.write_text(text + "trials = 40\n")
@@ -940,22 +941,17 @@ def test_compare_theory_rows_are_the_roc_rows_of_their_mode(tmp_path, text):
     rows = _json_rows(_curve_blocks(config, empirical))
     exact = exact_h0_rates(config).tolist()
     for mode in TheoryMode:
-        report = compare_theory(replace(config, theory_mode=mode), empirical=empirical)
+        flag, columns = compare_theory(replace(config, theory_mode=mode), empirical=empirical)
         block = [row for row in rows if row["mode"] == mode.value]
         assert [row["pfa_exact"] for row in block] == exact
+        assert flag == gaussian_rates(config.params, mode, config.thresholds)[2]
         assert [
             {key: value for key, value in row.items() if key != "mode"} for row in block
-        ] == [
-            {
-                "eta": r.eta,
-                "pfa_emp": r.pfa_emp,
-                "pd_emp": r.pd_emp,
-                "pfa_theory": r.pfa_theory,
-                "pd_theory": r.pd_theory,
-                "pfa_exact": r.pfa_exact,
-            }
-            for r in report.rows
-        ]
+        ] == [dict(zip(columns, row)) for row in zip(*columns.values())]
+    # without a replace, the config's own mode picks the block
+    _, columns = compare_theory(config, empirical=empirical)
+    own = [row for row in rows if row["mode"] == config.theory_mode.value]
+    assert columns["pd_theory"] == [row["pd_theory"] for row in own]
 
 
 def test_library_calls_ignore_the_workers_env_var(monkeypatch):
