@@ -7,7 +7,6 @@ deterministic Monte Carlo ROC engine.
 """
 
 from .analytic import (
-    AgreementMethod,
     AgreementProb,
     TheoryMode,
     TheoryMoments,
@@ -16,7 +15,6 @@ from .analytic import (
     gaussian_rates,
     moments,
     orthant_prob_closed,
-    orthant_prob_quadrature,
     q_function,
 )
 from .curves import RocCurve, RocSource
@@ -57,4 +55,4 @@ from .signal import (
     sample_signal,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -1,17 +1,15 @@
 """Probability machinery for the agreement-count detector.
 
 Covers the conditional agreement probability of consecutive one-bit
-samples under H1 (in two independent evaluation paths: an arcsine closed
-form and numerical quadrature of the Gaussian orthant integral), the
-Q-function, theory moments of the statistic under both hypotheses, the
-Gaussian-approximation ROC, and an exact binomial H0 tail that serves as
-oracle for the approximations.
+samples under H1 (the arcsine closed form of the Gaussian orthant
+integral), the Q-function, theory moments of the statistic under both
+hypotheses, the Gaussian-approximation ROC, and an exact binomial H0
+tail that serves as oracle for the approximations.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,43 +26,7 @@ from .model import (
     require_valid,
 )
 
-# Orthant quadrature: integration domain is truncated at 10 standard
-# deviations (discarded tail mass < 8e-24), split into these panels, and
-# the rules' error estimate must come in below this bound.
-_QUAD_EDGES = (0.0, 1.0, 2.0, 5.0, 10.0)
-_QUAD_MAX_ERR = 1e-9
-
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Positive halves (nodes ascending, then weights) of numpy's 32- and 64-point
-# Gauss-Legendre rules on [-1, 1]; mirrored about 0, each is its full rule.
-_LEGENDRE_HALVES = (
-    ((0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
-      0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
-      0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
-      0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816),
-     (0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
-      0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
-      0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
-      0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506)),
-    ((0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283,
-      0.21742364374000708, 0.2646871622087674, 0.31132287199021097, 0.3572201583376681,
-      0.4022701579639916, 0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
-      0.571895646202634, 0.6111553551723933, 0.6489654712546573, 0.6852363130542333,
-      0.7198818501716109, 0.7528199072605319, 0.7839723589433414, 0.8132653151227975,
-      0.8406292962525803, 0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
-      0.9295691721319396, 0.9464113748584028, 0.9610087996520538, 0.973326827789911,
-      0.983336253884626, 0.9910133714767443, 0.9963401167719552, 0.9993050417357722),
-     (0.048690957009139814, 0.04857546744150351, 0.048344762234802996, 0.04799938859645842,
-      0.04754016571483042, 0.046968182816210076, 0.04628479658131447, 0.045491627927418184,
-      0.044590558163756566, 0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
-      0.039953741132720544, 0.03855015317861564, 0.03705512854024009, 0.0354722132568823,
-      0.033805161837141794, 0.032057928354851495, 0.030234657072402554, 0.028339672614259535,
-      0.02637746971505491, 0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
-      0.017951715775697284, 0.01572603047602503, 0.01346304789671786, 0.011168139460131028,
-      0.008846759826363397, 0.006504457968978502, 0.004147033260564499, 0.00178328072169414)),
-)
 
 
 class TheoryMode(enum.Enum):
@@ -83,11 +45,6 @@ class TheoryMode(enum.Enum):
     CONSISTENT = "consistent"
 
 
-class AgreementMethod(enum.Enum):
-    CLOSED_FORM = "closed-form"
-    QUADRATURE = "quadrature"
-
-
 @dataclass(frozen=True)
 class AgreementProb:
     """P(consecutive bits agree | H1), with its normalized correlation.
@@ -98,12 +55,6 @@ class AgreementProb:
 
     p: float
     rho: float
-    method: AgreementMethod
-
-    @property
-    def p_prime(self) -> float:
-        """P(second bit is 1 | first bit is 0, H1) = 1 - p."""
-        return 1.0 - self.p
 
 
 @dataclass(frozen=True)
@@ -126,84 +77,25 @@ def _cov2_correlation(c11: float, c12: float, c22: float) -> float:
 def orthant_prob_closed(c11: float, c12: float, c22: float) -> float:
     """P(z1 >= 0, z2 >= 0) for a zero-mean bivariate Gaussian, closed form.
 
-    Equal to 1/4 + arcsin(rho) / (2 pi).  Must stay cross-validated
-    against :func:`orthant_prob_quadrature`, the independent evaluation
-    of the same integral.
+    Equal to 1/4 + arcsin(rho) / (2 pi) (Sheppard).  The tests check it
+    against a quadrature of the same integral that never touches the
+    arcsine identity.
     """
     rho = _cov2_correlation(c11, c12, c22)
     return 0.25 + math.asin(rho) / (2.0 * math.pi)
 
 
-@functools.lru_cache(maxsize=None)
-def _orthant_rules(depth: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Nodes t and weights w * phi(t) / 2 of the 32- and 64-node composite
-    rules, with [0, 1] split at 2**-1, ..., 2**-depth.  Built on first use
-    and kept: building them at import would slow every start-up."""
-    inner = tuple(2.0**-k for k in range(depth, 0, -1))
-    edges = np.array((0.0, *inner, *_QUAD_EDGES[1:]))
-    half = np.diff(edges)[:, None] / 2.0
-    mid = edges[:-1, None] + half
-    rules = []
-    for nodes, weights in _LEGENDRE_HALVES:
-        t = (mid + half * np.concatenate((np.negative(nodes[::-1]), nodes))).ravel()
-        density = (0.5 * _INV_SQRT_2PI) * np.exp(-0.5 * t * t)
-        rules.append((t, (half * np.concatenate((weights[::-1], weights))).ravel() * density))
-    return tuple(rules)
-
-
-def orthant_prob_quadrature(c11: float, c12: float, c22: float) -> float:
-    """P(z1 >= 0, z2 >= 0) by numerical integration, to within 1e-9.
-
-    The orthant probability is scale-invariant, so standardize and
-    condition on z1 = t: z2 | z1=t is normal with mean rho*t and variance
-    1 - rho^2, reducing the double integral to
-
-        int_0^inf phi(t) * Phi(slope t) dt,  slope = rho / sqrt(1 - rho^2).
-
-    Composite Gauss-Legendre rules of 32 and 64 nodes per panel integrate
-    it on panels ending at 0, 1, 2, 5 and 10 (the truncated tail is
-    < 8e-24); the 64-node sum is returned if the two differ by <= 1e-9.
-    Phi(slope t) steps over a width of ~1/|slope| near 0, so for
-    |slope| > 1 the panel [0, 1] is split at 2**-k for k = 1..ceil(log2
-    |slope|) + 2, which keeps the value within 1e-16 of the closed form
-    up to rho = 1 - 1e-12.  One ``np.dot`` per rule fixes the last bit.
-    This path never touches the arcsine identity, so it is a genuine
-    oracle for the closed form.
-    """
-    rho = _cov2_correlation(c11, c12, c22)
-    slope = rho / math.sqrt((1.0 - rho) * (1.0 + rho))
-    depth = math.ceil(math.log2(abs(slope))) + 2 if abs(slope) > 1.0 else 0
-    coarse, value = (
-        float(np.dot(weights, [math.erfc(x) for x in (t * (-slope / _SQRT2)).tolist()]))
-        for t, weights in _orthant_rules(depth)
-    )
-    error = abs(coarse - value)
-    if error > _QUAD_MAX_ERR:
-        raise ArithmeticError(f"orthant quadrature did not converge: error estimate {error:.3g}")
-    return value
-
-
-def agreement_prob(
-    params: ModelParams,
-    method: AgreementMethod = AgreementMethod.CLOSED_FORM,
-) -> AgreementProb:
+def agreement_prob(params: ModelParams) -> AgreementProb:
     """Conditional agreement probability p of consecutive bits under H1.
 
     The two noisy samples being compared are jointly Gaussian with
     common variance sigma_s2 + sigma2 and covariance r; p is twice their
     positive-orthant probability, i.e. 1/2 + arcsin(rho)/pi in closed
-    form.  ``method`` selects the evaluation path.  Raises ValueError for
-    params that `model.validate` rejects and a method that is not an
-    :class:`AgreementMethod`.
+    form.  Raises ValueError for params that `model.validate` rejects.
     """
     require_valid(params)
-    _require_member(method, AgreementMethod, "method")
     c = params.sigma_s2 + params.sigma2
-    if method is AgreementMethod.CLOSED_FORM:
-        orthant = orthant_prob_closed(c, params.r, c)
-    else:
-        orthant = orthant_prob_quadrature(c, params.r, c)
-    return AgreementProb(p=2.0 * orthant, rho=params.r / c, method=method)
+    return AgreementProb(p=2.0 * orthant_prob_closed(c, params.r, c), rho=params.r / c)
 
 
 def q_function(x: float) -> float:

@@ -360,27 +360,12 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 
 
 def run_validation_suite(trials: int, master_seed: int, workers: int | None) -> list[dict]:
-    """Built-in oracle suite: closed form vs quadrature, Monte Carlo on
-    ``workers`` vs exact binomial, and a 1- vs 2-worker determinism replay."""
+    """Built-in oracle suite: Monte Carlo H0 on ``workers`` vs the exact
+    binomial, the serial H1 mean vs the arcsine law, and a 1- vs 2-worker
+    determinism replay."""
     suite = dict(label="validate", n=20, r=0.5)
     _, config = _build(suite, trials=trials, seed=master_seed)
     checks = []
-
-    # Agreement probability: arcsine closed form against the quadrature
-    # oracle at six correlations.  Both read a covariance only through its
-    # correlation, so unit variances stand for every noise level.
-    worst = 0.0
-    for rho in (-0.49, -0.25, 0.0, 0.1, 0.25, 0.49):
-        closed = 2.0 * analytic.orthant_prob_closed(1.0, rho, 1.0)
-        quad = 2.0 * analytic.orthant_prob_quadrature(1.0, rho, 1.0)
-        worst = max(worst, abs(closed - quad))
-    checks.append(
-        _check(
-            "agreement-closed-form-vs-quadrature",
-            worst <= 1e-6,
-            f"max |closed - quadrature| = {worst:.3g} (tolerance 1e-6)",
-        )
-    )
 
     # Empirical H0 firings against the exact binomial tail q at every
     # threshold.  In one pooled sample of 5 * trials the firing count K is
@@ -411,8 +396,27 @@ def run_validation_suite(trials: int, master_seed: int, workers: int | None) -> 
         )
     )
 
-    # Determinism: identical statistics serially and with two workers.
+    # The replay's serial H1 draws: their mean against the arcsine law's
+    # (n-1)Np, two-sided at the H0 check's level (fails at |z| > 6.708).
+    # The consistent variance p(1-p)(n-1)N leaves out the negative
+    # correlation of adjacent agreements, so at N = 1, this config, it
+    # bounds Var(Y | H1) from above and the test can only be conservative.
     y_serial = montecarlo.simulate_statistics(config, Hypothesis.H1, workers=1)
+    h1 = analytic.moments(config.params, Hypothesis.H1)
+    mean = float(np.mean(y_serial))
+    z = (mean - h1.mean) / math.sqrt(h1.variance / trials)
+    p_mean = 2.0 * analytic.q_function(abs(z))
+    checks.append(
+        _check(
+            "h1-mean-vs-arcsine",
+            p_mean >= level,
+            f"mean of {trials} serial H1 trials {mean:.6g}, arcsine mean (n-1)Np "
+            f"{h1.mean:.6g}: z = {z:.3g}, two-sided p = {p_mean:.3g} (level "
+            f"{level:.3g}; variance p(1-p)(n-1)N = {h1.variance:.4g})",
+        )
+    )
+
+    # Determinism: identical statistics serially and with two workers.
     y_parallel = montecarlo.simulate_statistics(config, Hypothesis.H1, workers=2)
     same = bool(np.array_equal(y_serial, y_parallel))
     checks.append(

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from bitsense.analytic import agreement_prob, orthant_prob_quadrature
+from bitsense.analytic import agreement_prob
 from bitsense.cli import DEFAULT_MASTER_SEED, expand_preset, main
 from bitsense.detector import decide, statistic
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams
@@ -23,6 +23,7 @@ from bitsense.montecarlo import (
     exact_h0_rates,
     simulate_statistics,
 )
+from test_analytic import orthant_prob_quadrature
 
 
 def report(name: str, ok: bool, detail: str) -> None:

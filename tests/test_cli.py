@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -249,8 +250,8 @@ class TestValidateCommand:
         report = json.loads(report_path.read_text())
         assert report["all_passed"] is True
         assert {c["name"] for c in report["checks"]} == {
-            "agreement-closed-form-vs-quadrature",
             "empirical-h0-vs-exact-binomial",
+            "h1-mean-vs-arcsine",
             "determinism-serial-vs-parallel",
         }
         out = capsys.readouterr().out
@@ -269,6 +270,40 @@ class TestValidateCommand:
         report = json.loads(report_path.read_text())
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "empirical-h0-vs-exact-binomial" in failed
+
+    @pytest.mark.parametrize("seed", [7, 123456789])
+    def test_a_source_at_the_wrong_correlation_fails_only_the_h1_mean(
+        self, tmp_path, monkeypatch, fake_pool, seed
+    ):
+        # the engine draws its H1 source at r = 0.3 where the suite says 0.5;
+        # H0 draws never read the source, so the H0 check still passes
+        factor_covariance = bitsense.signal.factor_covariance
+
+        def wrong_source(params):
+            return factor_covariance(dataclasses.replace(params, r=0.3))
+
+        monkeypatch.setattr(bitsense.signal, "factor_covariance", wrong_source)
+        report_path = tmp_path / "report.json"
+        argv = ["validate", "--quick", "--seed", str(seed), "--out", str(report_path)]
+        assert main(argv) == 1
+        checks = json.loads(report_path.read_text())["checks"]
+        assert {c["name"]: c["passed"] for c in checks} == {
+            "empirical-h0-vs-exact-binomial": True,
+            "h1-mean-vs-arcsine": False,
+            "determinism-serial-vs-parallel": True,
+        }
+
+    @pytest.mark.parametrize("trials", [2, 3])
+    def test_the_h1_mean_passes_two_and_three_trials_at_every_seed(
+        self, tmp_path, monkeypatch, fake_pool, trials
+    ):
+        # the consistent variance bounds Var(Y | H1) from above at N = 1; the
+        # sample variance of 2 or 3 trials is often far below it
+        monkeypatch.delenv("BITSENSE_WORKERS", raising=False)
+        report_path = tmp_path / "report.json"
+        argv = ["validate", "--trials", str(trials), "--out", str(report_path), "--seed"]
+        failed = [seed for seed in range(200) if main(argv + [str(seed)]) != 0]
+        assert failed == []
 
 
 class TestUsageErrors:
@@ -305,9 +340,9 @@ class TestUsageErrors:
 
 def test_building_the_cli_does_not_import_scipy(tmp_path):
     # numpy is the only runtime dependency: scipy would cost most of start-up.
-    # The quadrature's rules are stored, so nothing loads numpy.polynomial
-    # (and its LAPACK-backed leggauss) that `import numpy` did not: numpy 1.x
-    # imports it eagerly, numpy 2 only on first use.
+    # Nothing loads numpy.polynomial (and its LAPACK-backed leggauss) that
+    # `import numpy` did not: numpy 1.x imports it eagerly, numpy 2 only on
+    # first use.
     src = str(Path(bitsense.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     report = tmp_path / "report.json"
@@ -584,10 +619,10 @@ def test_long_record_outputs_match_the_recorded_sha256s(tmp_path):
 #: `roc --preset fig3 --trials 300 --seed 5` manifest with its wall-clock
 #: time masked.  The manifest's was recorded before the empirical rates
 #: and the exact H0 oracle read one count-threshold rule, and carries each
-#: CSV's sha256; the report's when validate's H0 check became one pooled
-#: sample of 5 x trials at the run's seed.  Same platform caveats as
+#: CSV's sha256; the report's when validate's first check became the H1
+#: mean against the arcsine law (0.3.0).  Same platform caveats as
 #: RECORDED_SHA256.
-RECORDED_VALIDATE_SHA256 = "03f9bcd10825363da84f1c304a930144a7113069d3a8ee1a0aac49041c37ce7d"
+RECORDED_VALIDATE_SHA256 = "0d108508015cb46802fe5a4907d366f6f847d3b960cfd9114a676e3c9650f10a"
 RECORDED_MASKED_MANIFEST_SHA256 = "5b1e5ee97aa6ed11f11f1e086487679aa66f963f203e13715da8d15fcdc5b8df"
 
 
@@ -668,18 +703,18 @@ def test_cli_presets_resolve_through_expand_preset(tmp_path, monkeypatch):
     ] * 3
 
 
-#: The public names `bitsense` exports (submodules aside) since 0.2.0, as
+#: The public names `bitsense` exports (submodules aside) since 0.3.0, as
 #: the README's "Public surface" lists them.
 PUBLIC_NAMES = [
-    "AgreementMethod", "AgreementProb", "BidiagonalFactor", "DetectorDirection",
-    "DimensionMismatchError", "Hypothesis", "ModelParams", "NonPositiveDefiniteError",
-    "RNG_SCHEME", "RocCurve", "RocSource", "RunConfig", "RunManifest", "TheoryMode",
-    "TheoryMoments", "ValidationReport", "agreement_prob", "compare_theory", "decide",
-    "estimate_rates", "estimate_sweep", "exact_h0_rates", "exact_h0_tail",
-    "exact_hybrid_curve", "factor_covariance", "gaussian_rates", "moments", "observe",
-    "orthant_prob_closed", "orthant_prob_quadrature", "q_function", "quantize",
-    "reconstruct_covariance", "require_valid", "sample_signal", "seed_for_trial",
-    "simulate_statistics", "simulate_sweep", "statistic", "sweep_thresholds", "validate",
+    "AgreementProb", "BidiagonalFactor", "DetectorDirection", "DimensionMismatchError",
+    "Hypothesis", "ModelParams", "NonPositiveDefiniteError", "RNG_SCHEME", "RocCurve",
+    "RocSource", "RunConfig", "RunManifest", "TheoryMode", "TheoryMoments",
+    "ValidationReport", "agreement_prob", "compare_theory", "decide", "estimate_rates",
+    "estimate_sweep", "exact_h0_rates", "exact_h0_tail", "exact_hybrid_curve",
+    "factor_covariance", "gaussian_rates", "moments", "observe", "orthant_prob_closed",
+    "q_function", "quantize", "reconstruct_covariance", "require_valid", "sample_signal",
+    "seed_for_trial", "simulate_statistics", "simulate_sweep", "statistic",
+    "sweep_thresholds", "validate",
 ]
 
 
@@ -744,14 +779,15 @@ def test_json_manifest_checksums_match_files(tmp_path):
 
 
 #: stdout of `validate --quick --trials 200 --seed 11`, recorded when
-#: validate's H0 check became one pooled sample.  Same platform caveats as
-#: RECORDED_SHA256.
+#: validate's first check became the H1 mean against the arcsine law
+#: (0.3.0).  Same platform caveats as RECORDED_SHA256.
 RECORDED_VALIDATE_STDOUT = (
-    "PASS agreement-closed-form-vs-quadrature: max |closed - quadrature| = 1.11e-16 "
-    "(tolerance 1e-6)\n"
     "PASS empirical-h0-vs-exact-binomial: most binding threshold eta=8.5: 698 of 1000 "
     "fired, exact rate 0.676, two-sided binomial p = 0.149 (level 1.97e-11; 1000 pooled "
     "H0 trials)\n"
+    "PASS h1-mean-vs-arcsine: mean of 200 serial H1 trials 12.645, arcsine mean (n-1)Np "
+    "12.6663: z = -0.147, two-sided p = 0.883 (level 1.97e-11; variance p(1-p)(n-1)N = "
+    "4.222)\n"
     "PASS determinism-serial-vs-parallel: H1 statistics identical for 1 and 2 workers\n"
     "wrote {out}\n"
 )
