@@ -37,7 +37,6 @@ from .montecarlo import (
     RNG_SCHEME,
     RunConfig,
     RunManifest,
-    compare_theory,
     estimate_rates,
     estimate_sweep,
     exact_h0_rates,
@@ -55,4 +54,4 @@ from .signal import (
     sample_signal,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -135,32 +135,12 @@ def moments(
 
 
 def _gaussian_tails(thresholds: np.ndarray, mean: float, var: float, direction) -> list[float]:
-    """`gaussian_tail` at every threshold of a float array, in order."""
+    """P(decide H1) for a N(mean, var) statistic at each threshold, in order: Q of the
+    standardised gap in ``direction``, or at var 0 `detector.decide` on the mean."""
     if var == 0.0:
         return [float(detector.decide(mean, eta, direction)) for eta in thresholds.tolist()]
     gap = thresholds - mean if direction is DetectorDirection.GREATER_IS_H1 else mean - thresholds
     return list(map(q_function, (gap / math.sqrt(var)).tolist()))
-
-
-def gaussian_tail(eta: float, mean: float, var: float, direction: DetectorDirection) -> float:
-    """P(decide H1) for a Gaussian statistic, honoring the test direction.
-
-    A zero variance (paper-literal mode at r = 0) degenerates to a point
-    mass at the mean: the tail is the detector's own decision on it.
-    eta = +-inf gives 0.0 or 1.0 at a finite var.  A NaN eta or mean, a NaN
-    or negative var, a var > 0 at which (eta - mean) / sqrt(var) is NaN
-    (inf - inf or inf / inf), or a direction that is not a DetectorDirection
-    raise ValueError.
-    """
-    _require_member(direction, DetectorDirection, "direction")
-    for name, value in (("eta", eta), ("mean", mean)):
-        if math.isnan(value):
-            raise ValueError(f"{name} is NaN: the tail is undefined")
-    if not var >= 0:
-        raise ValueError(f"var must be >= 0, got {var!r}")
-    if var > 0 and math.isnan((float(eta) - float(mean)) / math.sqrt(var)):
-        raise ValueError(f"eta {eta!r}, mean {mean!r} and var {var!r}: the tail is undefined")
-    return _gaussian_tails(np.array([eta], dtype=float), mean, var, direction)[0]
 
 
 H1_VARIANCE_OK = "ok"
@@ -174,7 +154,7 @@ def gaussian_rates(params: ModelParams, mode: TheoryMode, thresholds):
     Returns ``(pfa, pd, h1_flag)``: lists of floats in threshold order,
     with every ``pd`` entry None when the mode's H1 variance is negative,
     and ``h1_flag`` one of the ``H1_VARIANCE_*`` constants.  Each tail is
-    `gaussian_tail`'s in ``RunConfig.direction``: downward for r < 0, else
+    `_gaussian_tails`' in ``RunConfig.direction``: downward for r < 0, else
     upward.  At r = 0 the consistent mode is the chance diagonal, which is
     exact for one sensor only: with N >= 2 the shared source inflates
     Var(Y | H1) about N-fold, which neither mode models.  Raises ValueError

@@ -227,15 +227,19 @@ def parse_config_file(path) -> tuple[str, RunConfig]:
 
 
 def _curve_blocks(config: RunConfig, empirical: RocCurve) -> list[dict]:
-    """Joined empirical/theory/exact columns, one block per theory mode.
-
-    Both theory modes are emitted; the mode column tags each block.  A
-    paper-literal H1 variance below zero leaves pd_theory as None (nan in
-    CSV) for those rows — the negative variance is never patched over.
+    """The one join of the sweep's curve at ``config``'s thresholds, the Gaussian
+    theory and the exact H0 rates: a block per theory mode (consistent, then
+    paper) keyed in CURVE_HEADER's order, the CSV's and the JSON's alike.  A
+    paper-literal H1 variance below zero leaves pd_theory None (nan in CSV).
     """
-    modes = (TheoryMode.CONSISTENT, TheoryMode.PAPER_LITERAL)
-    joined = montecarlo._joined_columns(config, empirical, modes)
-    return [{**columns, "mode": repeat(mode.value)} for mode, (_, columns) in zip(modes, joined)]
+    shared = (empirical.eta.tolist(), empirical.pfa.tolist(), empirical.pd.tolist())
+    exact = montecarlo.exact_h0_rates(config).tolist()
+    blocks = []
+    for mode in (TheoryMode.CONSISTENT, TheoryMode.PAPER_LITERAL):
+        pfa, pd, _ = analytic.gaussian_rates(config.params, mode, empirical.eta)
+        columns = (*shared, pfa, pd, exact, repeat(mode.value))
+        blocks.append(dict(zip(CURVE_HEADER.split(","), columns)))
+    return blocks
 
 
 def _resolve_configs(args) -> list[tuple[str, RunConfig]]:
@@ -309,30 +313,17 @@ def cmd_theory(args) -> int:
     for label, config in labeled:
         params = config.params
         agreement = analytic.agreement_prob(params)
-        scalars = {
-            "p": agreement.p,
-            "rho": agreement.rho,
-        }
+        scalars = {"p": agreement.p, "rho": agreement.rho}
         moment_block = {}
         eta = config.thresholds.tolist()
         blocks = []
         for mode in TheoryMode:
             for hyp in Hypothesis:
                 m = analytic.moments(params, hyp, mode)
-                moment_block[f"{hyp.name}_{mode.value}"] = {
-                    "mean": m.mean,
-                    "variance": m.variance,
-                }
+                moment_block[f"{hyp.name}_{mode.value}"] = {"mean": m.mean, "variance": m.variance}
             pfa, pd, flag = analytic.gaussian_rates(params, mode, config.thresholds)
-            blocks.append(
-                {
-                    "eta": eta,
-                    "mode": repeat(mode.value),
-                    "pfa_theory": pfa,
-                    "pd_theory": pd,
-                    "h1_variance_flag": repeat(_THEORY_FLAGS[flag]),
-                }
-            )
+            columns = (eta, repeat(mode.value), pfa, pd, repeat(_THEORY_FLAGS[flag]))
+            blocks.append(dict(zip(THEORY_HEADER.split(","), columns)))
 
         if args.format == "json":
             payload = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -48,6 +49,13 @@ def _require_member(value, kind: type[enum.Enum], name: str) -> None:
 def _is_int(value) -> bool:
     """The one rule for a count or a seed: an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _too_large(params) -> bool:
+    """The one size rule: a trial's (N + 1) n float64 draws, more than its
+    threshold grid holds, fit in no array where 8 (N + 1) n > sys.maxsize."""
+    n, num_sensors = params.n, params.num_sensors
+    return _is_int(n) and _is_int(num_sensors) and 8 * (num_sensors + 1) * n > sys.maxsize
 
 
 class NonPositiveDefiniteError(ValueError):
@@ -106,13 +114,14 @@ def validate(params: ModelParams) -> ValidationReport:
     the closed condition sigma_s2 >= 2|r|: the eigenvalues are
     sigma_s2 + 2 r cos(k pi / (n+1)), k = 1..n, all strictly positive
     under the condition for every finite n (|cos| < 1 on the grid), so
-    the check is O(1) and independent of n.  ``r = 0`` is accepted but
-    flagged.  With one sensor the bits are then iid fair coins under
-    both hypotheses and the agreement detector is uninformative.  With
-    N >= 2 sensors E[Y] is still the same under both hypotheses, but the
-    shared source makes the sensors' bit rows nearly identical under H1,
-    so Var(Y | H1) is about N times Var(Y | H0) and the test is weakly
-    informative through the variance alone.
+    the check is O(1) and independent of n.  An n and N so large that one
+    trial's (N + 1) n draws cannot be an array (`_too_large`) are refused.
+    ``r = 0`` is accepted but flagged.  With one sensor the bits are then
+    iid fair coins under both hypotheses and the agreement detector is
+    uninformative.  With N >= 2 sensors E[Y] is still the same under both
+    hypotheses, but the shared source makes the sensors' bit rows nearly
+    identical under H1, so Var(Y | H1) is about N times Var(Y | H0) and
+    the test is weakly informative through the variance alone.
     """
     violations = []
     warnings = []
@@ -122,6 +131,11 @@ def validate(params: ModelParams) -> ValidationReport:
     if not _is_int(params.num_sensors) or params.num_sensors < 1:
         violations.append(
             f"num_sensors must be an integer >= 1, got {params.num_sensors!r}"
+        )
+    if _too_large(params):
+        violations.append(
+            f"8 (num_sensors + 1) n must be <= {sys.maxsize} for one trial's draws to fit "
+            f"in an array, got n={params.n!r}, num_sensors={params.num_sensors!r}"
         )
     if not (params.sigma_s2 > 0 and math.isfinite(params.sigma_s2)):
         violations.append(f"sigma_s2 must be finite and > 0, got {params.sigma_s2!r}")

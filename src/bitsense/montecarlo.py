@@ -12,6 +12,7 @@ import ctypes
 import functools
 import os
 import pickle
+import sys
 import threading
 from dataclasses import dataclass, field, fields
 
@@ -21,7 +22,8 @@ from . import analytic, detector, signal
 from .analytic import TheoryMode
 from .curves import RocCurve, RocSource, _equal_by_value, _read_only
 from .model import (
-    DetectorDirection, Hypothesis, ModelParams, _direction_of, _is_int, _require_member, validate
+    DetectorDirection, Hypothesis, ModelParams, _direction_of, _is_int, _require_member,
+    _too_large, validate
 )
 
 #: Stream derivation contract, recorded in every manifest.  Philox4x64-10
@@ -48,13 +50,15 @@ class RunConfig:
 
     ``thresholds`` None is the sweep grid of ``params``, and it follows
     ``params`` through ``dataclasses.replace``; a caller's grid is kept,
-    as a read-only copy.  Configs compare by value.
+    as a read-only copy.  Params too large for `model.validate` get no
+    grid: ``thresholds`` stays None.  Configs compare by value.
     """
 
     params: ModelParams
     master_seed: int
     trials: int = 20000
     thresholds: np.ndarray | None = None
+    #: Echoed in manifests and `theory` JSON; `roc` and `theory` write both modes.
     theory_mode: TheoryMode = TheoryMode.CONSISTENT
     #: The params a default grid was built for; `replace` carries it along.
     _grid_params: ModelParams | None = field(default=None, repr=False, compare=False)
@@ -67,15 +71,20 @@ class RunConfig:
             built_for not in (None, self.params)
             and np.array_equal(thresholds, detector.sweep_thresholds(built_for))
         ):
-            thresholds = detector.sweep_thresholds(self.params)
+            thresholds = None if _too_large(self.params) else detector.sweep_thresholds(self.params)
             object.__setattr__(self, "_grid_params", self.params)
-        object.__setattr__(self, "thresholds", _read_only(thresholds))
+        if thresholds is not None:
+            thresholds = _read_only(thresholds)
+        object.__setattr__(self, "thresholds", thresholds)
 
     def violations(self) -> list[str]:
         problems = list(validate(self.params).violations)
         if not _is_int(self.trials) or self.trials < 1:
             problems.append(f"trials must be an integer >= 1, got {self.trials!r}")
-        problems += detector.threshold_violations(self.thresholds)
+        elif self.trials > sys.maxsize // 8:  # one int64 a trial must fit in an array
+            problems.append(f"trials must be at most {sys.maxsize // 8}, got {self.trials}")
+        if self.thresholds is not None:
+            problems += detector.threshold_violations(self.thresholds)
         if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2**64:
             problems.append(f"master_seed must fit in 64 bits, got {self.master_seed!r}")
         if not isinstance(self.theory_mode, TheoryMode):
@@ -365,7 +374,7 @@ def _simulate(
     shares: list[list[tuple]] = [[] for _ in range(workers)]
     for (seed, trials, hypothesis), members in groups.items():
         params = [jobs[i][0].params for i in members]
-        bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
+        bounds = [trials * w // workers for w in range(workers + 1)]
         key = _philox_key(seed)
         for share, a, b in zip(shares, bounds[:-1], bounds[1:]):
             share.append((params, key, hypothesis, a, b, histograms))
@@ -467,44 +476,6 @@ def exact_hybrid_curve(config: RunConfig, empirical: RocCurve) -> RocCurve:
         source=RocSource.EXACT_H0_HYBRID,
         trials_used=empirical.trials_used,
     )
-
-
-def _joined_columns(
-    config: RunConfig, empirical: RocCurve, modes: tuple[TheoryMode, ...]
-) -> list[tuple[str, dict[str, list]]]:
-    """Empirical, Gaussian-theory and exact H0 rates as columns, per mode.
-
-    Returns, for each mode, its H1 variance flag and the columns in the
-    CSV order, ``pd_theory`` all None where that variance is negative.
-    """
-    _require_same_grid(config, empirical)
-    keys = ("eta", "pfa_emp", "pd_emp", "pfa_theory", "pd_theory", "pfa_exact")
-    shared = (config.thresholds, empirical.pfa, empirical.pd, exact_h0_rates(config))
-    eta, pfa_emp, pd_emp, exact = (a.tolist() for a in shared)
-    joined = []
-    for mode in modes:
-        pfa, pd, flag = analytic.gaussian_rates(config.params, mode, config.thresholds)
-        joined.append((flag, dict(zip(keys, (eta, pfa_emp, pd_emp, pfa, pd, exact)))))
-    return joined
-
-
-def compare_theory(
-    config: RunConfig,
-    empirical: RocCurve | None = None,
-    workers: int | None = None,
-) -> tuple[str, dict[str, list]]:
-    """Join empirical rates, Gaussian theory, and exact H0 tails per threshold.
-
-    Returns the configured theory mode's ``(h1_flag, columns)`` from
-    `_joined_columns`, the columns in the ``roc`` CSV's order.  A negative
-    paper-literal H1 variance shows as the flag with ``pd_theory`` all
-    None, so the rest of the table stays usable.  ``empirical`` None runs
-    `estimate_rates` on ``workers``.
-    """
-    config.require_valid()
-    if empirical is None:
-        empirical = estimate_rates(config, workers)
-    return _joined_columns(config, empirical, (config.theory_mode,))[0]
 
 
 @dataclass(frozen=True)

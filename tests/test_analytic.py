@@ -22,7 +22,6 @@ from bitsense.analytic import (
     agreement_prob,
     exact_h0_tail,
     gaussian_rates,
-    gaussian_tail,
     moments,
     orthant_prob_closed,
     q_function,
@@ -32,7 +31,6 @@ from bitsense.detector import decide, firing_mass, sweep_thresholds
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams, NonPositiveDefiniteError
 from bitsense.montecarlo import (
     RunConfig,
-    compare_theory,
     config_to_dict,
     exact_h0_rates,
     seed_for_trial,
@@ -555,26 +553,14 @@ def test_a_million_pair_exact_h0_tail_builds_in_under_a_second():
     assert 0.49 < tail < 0.5
 
 
-@pytest.mark.parametrize("direction", list(DetectorDirection))
-def test_zero_variance_tail_is_the_detector_decision(direction):
-    for eta in (4.5, 5.0, 5.5):
-        assert gaussian_tail(eta, 5.0, 0.0, direction) == float(decide(5.0, eta, direction))
-    assert gaussian_tail(5.0, 5.0, 0.0, direction) == 1.0  # a tie fires either way
-    upward = direction is DetectorDirection.GREATER_IS_H1
-    for var in (0.0, 4.0):
-        assert gaussian_tail(math.inf, 5.0, var, direction) == (0.0 if upward else 1.0)
-        assert gaussian_tail(-math.inf, 5.0, var, direction) == (1.0 if upward else 0.0)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("direction", list(DetectorDirection))
-def test_infinite_inputs_with_a_defined_tail_keep_their_answer(direction):
-    upward = direction is DetectorDirection.GREATER_IS_H1
-    assert gaussian_tail(1.0, math.inf, 4.0, direction) == (1.0 if upward else 0.0)
-    assert gaussian_tail(1.0, -math.inf, 4.0, direction) == (0.0 if upward else 1.0)
-    assert gaussian_tail(math.inf, -math.inf, 4.0, direction) == (0.0 if upward else 1.0)
-    assert gaussian_tail(1.0, 1.0, math.inf, direction) == 0.5
-    assert gaussian_tail(math.inf, math.inf, 0.0, direction) == 1.0  # a tie fires either way
+def test_zero_variance_tail_is_the_detector_decision():
+    # paper mode at r = 0: the H1 mean is m = 19 and its variance 0, so each
+    # Pd is the upward test's own decision on the mean, a tie firing
+    params = make_params(n=20, num_sensors=1, r=0.0)
+    _, pd, flag = gaussian_rates(params, TheoryMode.PAPER_LITERAL, [18.5, 19.0, 19.5])
+    assert moments(params, Hypothesis.H1, TheoryMode.PAPER_LITERAL).mean == 19.0
+    assert flag == H1_VARIANCE_ZERO
+    assert pd == [1.0, 1.0, 0.0]
 
 
 def test_negative_paper_variance_gives_a_none_pd_per_threshold():
@@ -600,13 +586,20 @@ def test_gaussian_rates_are_the_scalar_tails_to_the_last_bit(
 ):
     params = make_params(n=n, num_sensors=num_sensors, r=r, sigma2=sigma2)
     direction = DetectorDirection.LESS_IS_H1 if r < 0 else DetectorDirection.GREATER_IS_H1
+    sign = 1.0 if direction is DetectorDirection.GREATER_IS_H1 else -1.0
     m0, m1 = (moments(params, h, mode) for h in (Hypothesis.H0, Hypothesis.H1))
+
+    def tail(eta, m):
+        if m.variance == 0:
+            return float(decide(m.mean, eta, direction))
+        return q_function(sign * (eta - m.mean) / math.sqrt(m.variance))
+
     for thresholds in (sweep_thresholds(params), sorted(off_grid)):
         pfa, pd, _ = gaussian_rates(params, mode, thresholds)
-        assert pfa == [gaussian_tail(eta, m0.mean, m0.variance, direction) for eta in thresholds]
+        assert pfa == [tail(eta, m0) for eta in thresholds]
         expected = [None] * len(thresholds)
         if m1.variance >= 0:
-            expected = [gaussian_tail(eta, m1.mean, m1.variance, direction) for eta in thresholds]
+            expected = [tail(eta, m1) for eta in thresholds]
         assert pd == expected
 
 
@@ -668,12 +661,6 @@ def curve_at(eta) -> RocCurve:
             "eta, pfa, pd must have equal length",
         ),
         (
-            lambda: compare_theory(
-                RunConfig(make_params(), 1, trials=50, theory_mode="consistent")
-            ),
-            "theory_mode must be a TheoryMode, got 'consistent'",
-        ),
-        (
             lambda: config_to_dict(RunConfig(make_params(), 1, theory_mode="consistent")),
             "theory_mode must be a TheoryMode, got 'consistent'",
         ),
@@ -694,37 +681,6 @@ def curve_at(eta) -> RocCurve:
         (
             lambda: decide(5, 5.5, "greater"),
             "direction must be a DetectorDirection, got 'greater'",
-        ),
-        (
-            lambda: gaussian_tail(12, 10, 4, "greater"),
-            "direction must be a DetectorDirection, got 'greater'",
-        ),
-        (lambda: gaussian_tail(math.nan, 10, 4, DetectorDirection.GREATER_IS_H1), "eta is NaN"),
-        (lambda: gaussian_tail(math.nan, 10, 0, DetectorDirection.LESS_IS_H1), "eta is NaN"),
-        (lambda: gaussian_tail(12, math.nan, 4, DetectorDirection.GREATER_IS_H1), "mean is NaN"),
-        (
-            lambda: gaussian_tail(12, 10, math.nan, DetectorDirection.GREATER_IS_H1),
-            "var must be >= 0, got nan",
-        ),
-        (
-            lambda: gaussian_tail(12, 10, -4.0, DetectorDirection.LESS_IS_H1),
-            r"var must be >= 0, got -4\.0",
-        ),
-        (
-            lambda: gaussian_tail(math.inf, math.inf, 4.0, DetectorDirection.GREATER_IS_H1),
-            "eta inf, mean inf and var 4.0: the tail is undefined",
-        ),
-        (
-            lambda: gaussian_tail(-math.inf, -math.inf, 4.0, DetectorDirection.LESS_IS_H1),
-            "eta -inf, mean -inf and var 4.0: the tail is undefined",
-        ),
-        (
-            lambda: gaussian_tail(math.inf, 1.0, math.inf, DetectorDirection.GREATER_IS_H1),
-            "eta inf, mean 1.0 and var inf: the tail is undefined",
-        ),
-        (
-            lambda: gaussian_tail(1.0, -math.inf, math.inf, DetectorDirection.LESS_IS_H1),
-            "eta 1.0, mean -inf and var inf: the tail is undefined",
         ),
         (
             lambda: firing_mass(np.array([10, 7, 3, 0]), [1.5], "greater"),
@@ -749,14 +705,10 @@ def curve_at(eta) -> RocCurve:
         "curve-nan", "curve-2-D", "curve-empty", "curve-inf",
         "exact-rates-nan", "exact-rates-decreasing", "exact-rates-n=1",
         "exact-tail-n=1", "exact-tail-n=-3", "moments-not-pd", "agreement-not-pd",
-        "curve-short-pfa", "curve-scalar-pfa", "config-mode-str",
+        "curve-short-pfa", "curve-scalar-pfa",
         "echo-mode-str", "echo-trials=0", "echo-seed=-1",
         "moments-hypothesis-str", "moments-hypothesis-int", "moments-mode-str",
-        "decide-direction-str", "gaussian-tail-direction-str",
-        "gaussian-tail-eta-nan", "gaussian-tail-eta-nan-var=0", "gaussian-tail-mean-nan",
-        "gaussian-tail-var-nan", "gaussian-tail-var<0", "gaussian-tail-inf-inf",
-        "gaussian-tail-minus-inf-inf", "gaussian-tail-inf-var-inf",
-        "gaussian-tail-mean-inf-var-inf", "firing-mass-direction-str",
+        "decide-direction-str", "firing-mass-direction-str",
         "draw-width-hypothesis-str", "observe-hypothesis-str", "observe-draws-hypothesis-str",
         "simulate-hypothesis-str", "seed-for-trial-hypothesis-str",
     ],

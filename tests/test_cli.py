@@ -559,9 +559,10 @@ class TestValidateChecks:
 
 
 #: sha256 of `roc --preset fig3 --trials 300 --seed 5 --format json`,
-#: recorded before `roc` and `compare_theory` shared one row builder.  The
-#: paper-mode rows carry `"pd_theory": null`.  Same platform caveats as
-#: RECORDED_SHA256.
+#: recorded before `roc` and the library's `compare_theory` (retired in
+#: 0.4.0) shared one row builder; `cli._curve_blocks`, now the one join,
+#: writes the same bytes.  The paper-mode rows carry `"pd_theory": null`.
+#: Same platform caveats as RECORDED_SHA256.
 RECORDED_JSON_SHA256 = {
     "fig3_N1.json": "d2c90014dd9611df5cd9f64e41df1707f0636de12aa0caec40d91f1e31686f5f",
     "fig3_N2.json": "153610bccbf9a7f6b6a0a68e3e70db7773741500db87cdcf9905bd41b8b8ca62",
@@ -703,18 +704,17 @@ def test_cli_presets_resolve_through_expand_preset(tmp_path, monkeypatch):
     ] * 3
 
 
-#: The public names `bitsense` exports (submodules aside) since 0.3.0, as
+#: The public names `bitsense` exports (submodules aside) since 0.4.0, as
 #: the README's "Public surface" lists them.
 PUBLIC_NAMES = [
     "AgreementProb", "BidiagonalFactor", "DetectorDirection", "DimensionMismatchError",
     "Hypothesis", "ModelParams", "NonPositiveDefiniteError", "RNG_SCHEME", "RocCurve",
     "RocSource", "RunConfig", "RunManifest", "TheoryMode", "TheoryMoments",
-    "ValidationReport", "agreement_prob", "compare_theory", "decide", "estimate_rates",
-    "estimate_sweep", "exact_h0_rates", "exact_h0_tail", "exact_hybrid_curve",
-    "factor_covariance", "gaussian_rates", "moments", "observe", "orthant_prob_closed",
-    "q_function", "quantize", "reconstruct_covariance", "require_valid", "sample_signal",
-    "seed_for_trial", "simulate_statistics", "simulate_sweep", "statistic",
-    "sweep_thresholds", "validate",
+    "ValidationReport", "agreement_prob", "decide", "estimate_rates", "estimate_sweep",
+    "exact_h0_rates", "exact_h0_tail", "exact_hybrid_curve", "factor_covariance",
+    "gaussian_rates", "moments", "observe", "orthant_prob_closed", "q_function", "quantize",
+    "reconstruct_covariance", "require_valid", "sample_signal", "seed_for_trial",
+    "simulate_statistics", "simulate_sweep", "statistic", "sweep_thresholds", "validate",
 ]
 
 

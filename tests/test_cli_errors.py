@@ -1,6 +1,6 @@
 """CLI error paths: an output path that is a file or lies below one, a
-validate run too small for its replay, a config line with no '=', and a
-config too large for memory."""
+validate run too small for its replay, a config line with no '=', a
+config too large for memory, and a size no array can hold."""
 
 import pytest
 
@@ -90,3 +90,34 @@ def test_a_config_too_large_for_memory_is_a_usage_error(
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["roc", "--preset", "fig3", "--trials", str(10**30)], "trials must be at most"),
+        (["roc", "--preset", "fig3", "--trials", str(2**63 - 1)], "trials must be at most"),
+        (["validate", "--trials", str(2**61)], "trials must be at most"),
+        (["roc", "--config", "n_2_60.cfg"], "8 (num_sensors + 1) n must be <="),
+        (["theory", "--config", "n_2_60.cfg"], "8 (num_sensors + 1) n must be <="),
+        (["roc", "--config", "n_1e22.cfg"], "8 (num_sensors + 1) n must be <="),
+        (["theory", "--config", "n_1e22.cfg"], "8 (num_sensors + 1) n must be <="),
+    ],
+    ids=[
+        "roc-trials-1e30", "roc-trials-2**63-1", "validate-trials-2**61",
+        "roc-n-2**60", "theory-n-2**60", "roc-n-1e22", "theory-n-1e22",
+    ],
+)
+def test_a_size_no_array_can_hold_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    # numpy died on each of these (a cast error, an array too big, a
+    # maximum size exceeded) or ran on with wrapped share bounds
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "n_2_60.cfg").write_text(f"n = {2**60}\nr = 0.3\n")
+    (tmp_path / "n_1e22.cfg").write_text(f"n = {10**22}\nr = 0.3\n")
+    out = ["--out", "report.json" if argv[0] == "validate" else "out"]
+    assert main(argv + out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["n_1e22.cfg", "n_2_60.cfg"]

@@ -14,6 +14,7 @@ import textwrap
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bitsense
@@ -271,6 +272,21 @@ class TestOneCap:
         pooled = montecarlo.simulate_statistics(h1_config(20), Hypothesis.H1, workers=workers)
         assert fake_pool == [(2, 2)]
         assert pooled.tolist() == serial.tolist()
+
+
+def test_shares_tile_a_trial_count_a_float_cannot_hold(monkeypatch):
+    # float bounds (np.linspace) ended 2**53 + 1 trials at 2**53, a trial short
+    trials, shares = 2**53 + 1, []
+
+    def fork_map(split):
+        shares.extend(split)
+        return [[[np.zeros(0, np.int64)] for _ in share] for share in split]
+
+    monkeypatch.setattr(montecarlo, "_fork_map", fork_map)
+    montecarlo.simulate_statistics(h1_config(trials), Hypothesis.H1, workers=2)
+    assert [task[3:5] for share in shares for task in share] == [
+        (0, 2**52), (2**52, trials)
+    ]
 
 
 def ranges_run_in_process(monkeypatch) -> list[tuple[int, int]]:

@@ -21,13 +21,12 @@ from bitsense.analytic import (
     gaussian_rates,
     moments,
 )
-from bitsense.cli import _curve_blocks, _json_rows, main, parse_config_file
+from bitsense.cli import CURVE_HEADER, _curve_blocks, _json_rows, main, parse_config_file
 from bitsense.curves import RocCurve, RocSource
 from bitsense.detector import firing_mass, sweep_thresholds, upper_counts
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams
 from bitsense.montecarlo import (
     RunConfig,
-    compare_theory,
     config_to_dict,
     estimate_rates,
     estimate_sweep,
@@ -339,40 +338,43 @@ class TestExactRates:
 
 
 class TestCompareTheory:
+    """The empirical, theory and exact columns `roc` joins, each read
+    from its own builder."""
+
     def test_empirical_h0_column_tracks_exact_oracle(self):
         config = make_config()  # seed 42, 20000 trials
-        _, columns = compare_theory(config)
-        for emp, exact in zip(columns["pfa_emp"], columns["pfa_exact"]):
+        pairs = zip(estimate_rates(config).pfa.tolist(), exact_h0_rates(config).tolist())
+        for emp, exact in pairs:
             band = 3.0 * math.sqrt(exact * (1 - exact) / config.trials)
             assert abs(emp - exact) <= band + 1e-15
 
     def test_gaussian_h0_column_is_close_to_exact(self):
         # quality of the CLT approximation at n=20, N=1
         config = make_config(trials=200)
-        _, columns = compare_theory(config)
-        pairs = zip(columns["pfa_theory"], columns["pfa_exact"])
+        pfa, _, _ = gaussian_rates(config.params, TheoryMode.CONSISTENT, config.thresholds)
+        pairs = zip(pfa, exact_h0_rates(config).tolist())
         assert max(abs(theory - exact) for theory, exact in pairs) <= 0.02
 
     def test_paper_literal_negative_variance_is_flagged_per_row(self):
-        config = make_config(trials=200, theory_mode=TheoryMode.PAPER_LITERAL)
-        flag, columns = compare_theory(config)
+        config = make_config(trials=200)
+        _, pd, flag = gaussian_rates(config.params, TheoryMode.PAPER_LITERAL, config.thresholds)
         assert flag == H1_VARIANCE_NEGATIVE
-        assert columns["pd_theory"] == [None] * len(config.thresholds)
+        assert pd == [None] * len(config.thresholds)
 
     def test_consistent_mode_rows_carry_values(self):
         config = make_config(trials=200)
-        flag, columns = compare_theory(config)
+        _, pd, flag = gaussian_rates(config.params, TheoryMode.CONSISTENT, config.thresholds)
         assert flag == H1_VARIANCE_OK == "ok"
-        pairs = zip(columns["pd_emp"], columns["pd_theory"])
+        pairs = zip(estimate_rates(config).pd.tolist(), pd)
         assert all(math.isfinite(abs(emp - theory)) for emp, theory in pairs)
         assert agreement_prob(config.params).p == pytest.approx(0.6666482912, abs=1e-6)
 
     def test_zero_correlation_paper_mode_reports_zero_variance(self):
-        config = make_config(r=0.0, trials=200, theory_mode=TheoryMode.PAPER_LITERAL)
-        flag, _ = compare_theory(config)
+        config = make_config(r=0.0, trials=200)
+        _, _, flag = gaussian_rates(config.params, TheoryMode.PAPER_LITERAL, config.thresholds)
         assert flag == H1_VARIANCE_ZERO
         # the two modes genuinely disagree on the H1 mean at r = 0 and the
-        # report keeps the configured mode's numbers rather than hiding it
+        # report keeps each mode's numbers rather than hiding one
         paper = moments(config.params, Hypothesis.H1, TheoryMode.PAPER_LITERAL)
         consistent = moments(config.params, Hypothesis.H1, TheoryMode.CONSISTENT)
         assert paper.mean == 19.0
@@ -383,15 +385,14 @@ class TestCompareTheory:
         empirical = estimate_rates(other)
         grids = r"curve's 21 thresholds \[.*\] are not the config's 59 thresholds \["
         with pytest.raises(ValueError, match=grids):
-            compare_theory(config, empirical=empirical)
-        with pytest.raises(ValueError, match=grids):
             exact_hybrid_curve(config, empirical)
 
     def test_reuses_precomputed_empirical_curve(self):
         config = make_config(trials=500)
         empirical = estimate_rates(config)
-        _, columns = compare_theory(config, empirical=empirical)
-        assert columns["pfa_emp"] == empirical.pfa.tolist()
+        for block in _curve_blocks(config, empirical):
+            assert block["pfa_emp"] == empirical.pfa.tolist()
+            assert block["pd_emp"] == empirical.pd.tolist()
 
 
 def test_config_to_dict_echoes_everything_needed_for_replay():
@@ -432,15 +433,16 @@ def test_theory_roc_compare_theory_and_theory_table_agree(tmp_path, text, flags)
     table = json.loads((tmp_path / "cross_theory.json").read_text())["rows"]
     empirical = estimate_rates(config)
     library_flag = {"ok": "ok", "NEGATIVE": "negative-variance", "ZERO": "zero-variance"}
+    joined = _json_rows(_curve_blocks(config, empirical))
     for mode in TheoryMode:
         rows = [row for row in table if row["mode"] == mode.value]
-        flag, columns = compare_theory(replace(config, theory_mode=mode), empirical=empirical)
+        roc = [row for row in joined if row["mode"] == mode.value]
         pfa, pd, rates_flag = gaussian_rates(config.params, mode, config.thresholds)
         assert [row["eta"] for row in rows] == config.thresholds.tolist()
         assert {row["h1_variance_flag"] for row in rows} == {flags[mode.value]}
-        assert flag == rates_flag == library_flag[flags[mode.value]]
-        assert [row["pfa_theory"] for row in rows] == columns["pfa_theory"] == pfa
-        assert [row["pd_theory"] for row in rows] == columns["pd_theory"] == pd
+        assert rates_flag == library_flag[flags[mode.value]]
+        assert [row["pfa_theory"] for row in rows] == [row["pfa_theory"] for row in roc] == pfa
+        assert [row["pd_theory"] for row in rows] == [row["pd_theory"] for row in roc] == pd
         if flags[mode.value] == "NEGATIVE":
             assert all(row["pd_theory"] is None for row in rows)
 
@@ -940,18 +942,18 @@ def test_compare_theory_rows_are_the_roc_rows_of_their_mode(tmp_path, text):
     empirical = estimate_rates(config)
     rows = _json_rows(_curve_blocks(config, empirical))
     exact = exact_h0_rates(config).tolist()
+    assert all(list(row) == CURVE_HEADER.split(",") for row in rows)
     for mode in TheoryMode:
-        flag, columns = compare_theory(replace(config, theory_mode=mode), empirical=empirical)
+        pfa, pd, _ = gaussian_rates(config.params, mode, config.thresholds)
+        columns = dict(
+            eta=config.thresholds.tolist(), pfa_emp=empirical.pfa.tolist(),
+            pd_emp=empirical.pd.tolist(), pfa_theory=pfa, pd_theory=pd, pfa_exact=exact,
+        )
         block = [row for row in rows if row["mode"] == mode.value]
         assert [row["pfa_exact"] for row in block] == exact
-        assert flag == gaussian_rates(config.params, mode, config.thresholds)[2]
         assert [
             {key: value for key, value in row.items() if key != "mode"} for row in block
         ] == [dict(zip(columns, row)) for row in zip(*columns.values())]
-    # without a replace, the config's own mode picks the block
-    _, columns = compare_theory(config, empirical=empirical)
-    own = [row for row in rows if row["mode"] == config.theory_mode.value]
-    assert columns["pd_theory"] == [row["pd_theory"] for row in own]
 
 
 def test_library_calls_ignore_the_workers_env_var(monkeypatch):
