@@ -17,7 +17,7 @@ from .analytic import (
     orthant_prob_closed,
     q_function,
 )
-from .curves import RocCurve, RocSource
+from .curves import RocCurve
 from .detector import (
     DimensionMismatchError,
     decide,
@@ -37,10 +37,8 @@ from .montecarlo import (
     RNG_SCHEME,
     RunConfig,
     RunManifest,
-    estimate_rates,
     estimate_sweep,
     exact_h0_rates,
-    exact_hybrid_curve,
     seed_for_trial,
     simulate_statistics,
     simulate_sweep,
@@ -54,4 +52,4 @@ from .signal import (
     sample_signal,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -61,8 +61,6 @@ class AgreementProb:
 class TheoryMoments:
     mean: float
     variance: float
-    hypothesis: Hypothesis
-    mode: TheoryMode
 
 
 def _cov2_correlation(c11: float, c12: float, c22: float) -> float:
@@ -127,11 +125,11 @@ def moments(
     _require_member(mode, TheoryMode, "mode")
     m = params.pairs_total
     if hypothesis is Hypothesis.H0:
-        return TheoryMoments(0.5 * m, 0.25 * m, hypothesis, mode)
+        return TheoryMoments(0.5 * m, 0.25 * m)
     p = agreement_prob(params).p
     if mode is TheoryMode.PAPER_LITERAL:
-        return TheoryMoments(2.0 * p * m, 2.0 * p * (1.0 - 2.0 * p) * m, hypothesis, mode)
-    return TheoryMoments(p * m, p * (1.0 - p) * m, hypothesis, mode)
+        return TheoryMoments(2.0 * p * m, 2.0 * p * (1.0 - 2.0 * p) * m)
+    return TheoryMoments(p * m, p * (1.0 - p) * m)
 
 
 def _gaussian_tails(thresholds: np.ndarray, mean: float, var: float, direction) -> list[float]:

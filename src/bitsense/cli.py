@@ -350,12 +350,16 @@ def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def run_validation_suite(trials: int, master_seed: int, workers: int | None) -> list[dict]:
-    """Built-in oracle suite: Monte Carlo H0 on ``workers`` vs the exact
-    binomial, the serial H1 mean vs the arcsine law, and a 1- vs 2-worker
-    determinism replay."""
-    suite = dict(label="validate", n=20, r=0.5)
-    _, config = _build(suite, trials=trials, seed=master_seed)
+#: validate's model, and its largest --trials: its pooled H0 sample holds 5 * trials.
+_VALIDATE_SUITE = dict(label="validate", n=20, r=0.5)
+_VALIDATE_MAX_TRIALS = (sys.maxsize // 8) // 5
+
+
+def run_validation_suite(config: RunConfig, workers: int | None) -> list[dict]:
+    """Built-in oracle suite on `cmd_validate`'s checked config: Monte Carlo
+    H0 on ``workers`` vs the exact binomial, the serial H1 mean vs the
+    arcsine law, and a 1- vs 2-worker determinism replay."""
+    trials = config.trials
     checks = []
 
     # Empirical H0 firings against the exact binomial tail q at every
@@ -368,7 +372,7 @@ def run_validation_suite(trials: int, master_seed: int, workers: int | None) -> 
     # exact tails, so only a p that close to the level could flip.
     level = 2.0 * analytic.q_function(3.0 * math.sqrt(5.0))
     pooled = 5 * trials
-    _, pool = _build(suite, trials=pooled, seed=master_seed)
+    _, pool = _build(_VALIDATE_SUITE, trials=pooled, seed=config.master_seed)
     stats = montecarlo.simulate_statistics(pool, Hypothesis.H0, workers)
     upper = detector.upper_counts(stats, pool.params.pairs_total)
     fired = detector.firing_mass(upper, pool.thresholds, pool.direction)
@@ -429,11 +433,15 @@ def cmd_validate(args) -> int:
         trials = args.trials
     if trials < 2:
         raise ConfigError(f"--trials must be >= 2 for the 1- vs 2-worker replay, got {trials}")
+    if trials > _VALIDATE_MAX_TRIALS:  # named as typed, not as the pooled count
+        pooled = f"the pooled H0 sample of 5 * trials, got {trials}"
+        raise ConfigError(f"--trials must be at most {_VALIDATE_MAX_TRIALS} for {pooled}")
+    _, config = _build(_VALIDATE_SUITE, trials=trials, seed=args.seed)
     out_path = Path(args.out)
     if out_path.is_dir():
         raise ConfigError(f"--out {out_path} is a directory; give the report's file path")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    checks = run_validation_suite(trials, args.seed, workers)
+    out_path.parent.mkdir(parents=True, exist_ok=True)  # after every refusal
+    checks = run_validation_suite(config, workers)
     all_passed = all(c["passed"] for c in checks)
     report = {
         "all_passed": all_passed,

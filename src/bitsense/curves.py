@@ -1,18 +1,12 @@
-"""ROC curve container shared by the theory and Monte Carlo layers."""
+"""ROC curve container: the empirical operating points of a Monte Carlo sweep."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import detector
-
-
-class RocSource(enum.Enum):
-    EMPIRICAL = "empirical"
-    EXACT_H0_HYBRID = "exact-h0-hybrid"
 
 
 def _read_only(values) -> np.ndarray:
@@ -35,14 +29,13 @@ def _equal_by_value(a, b) -> bool:
 class RocCurve:
     """Operating points (eta, pfa, pd), ordered by increasing threshold.
 
-    ``trials_used`` is 0 for purely analytic curves.  Curves compare by
-    value and hold read-only copies of their arrays.
+    ``trials_used`` is each hypothesis's trial count in the sweep the curve
+    was read from.  Curves compare by value and hold read-only array copies.
     """
 
     eta: np.ndarray
     pfa: np.ndarray
     pd: np.ndarray
-    source: RocSource
     trials_used: int = 0
 
     __eq__ = _equal_by_value

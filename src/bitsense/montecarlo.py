@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic, detector, signal
 from .analytic import TheoryMode
-from .curves import RocCurve, RocSource, _equal_by_value, _read_only
+from .curves import RocCurve, _equal_by_value, _read_only
 from .model import (
     DetectorDirection, Hypothesis, ModelParams, _direction_of, _is_int, _require_member,
     _too_large, validate
@@ -420,24 +420,9 @@ def estimate_sweep(
         for (c, _), histogram in zip(jobs, _simulate(jobs, workers, histograms=True))
     ]
     return [
-        RocCurve(
-            eta=c.thresholds,
-            pfa=a,
-            pd=b,
-            source=RocSource.EMPIRICAL,
-            trials_used=c.trials,
-        )
+        RocCurve(eta=c.thresholds, pfa=a, pd=b, trials_used=c.trials)
         for c, a, b in zip(configs, rates[: len(configs)], rates[len(configs) :])
     ]
-
-
-def estimate_rates(config: RunConfig, workers: int | None = None) -> RocCurve:
-    """Empirical ROC from `trials` H0 trials and `trials` H1 trials.
-
-    Both hypotheses are always simulated in one run so pfa and pd at each
-    threshold come from the same config.
-    """
-    return estimate_sweep([config], workers)[0]
 
 
 def exact_h0_rates(config: RunConfig) -> np.ndarray:
@@ -454,28 +439,6 @@ def exact_h0_rates(config: RunConfig) -> np.ndarray:
     config.require_valid()
     _, tail = analytic._binomial_tails(config.params.pairs_total, 0.5)
     return detector.firing_mass(tail, config.thresholds, config.direction)
-
-
-def _require_same_grid(config: RunConfig, empirical: RocCurve) -> None:
-    """Raise ValueError unless ``empirical`` was read at ``config``'s thresholds."""
-    if not np.array_equal(empirical.eta, config.thresholds):
-        curve, grid = (
-            f"{g.size} thresholds {np.array2string(g, threshold=6, edgeitems=2)}"
-            for g in (empirical.eta, config.thresholds)
-        )
-        raise ValueError(f"the empirical curve's {curve} are not the config's {grid}")
-
-
-def exact_hybrid_curve(config: RunConfig, empirical: RocCurve) -> RocCurve:
-    """Exact H0 tail paired with the empirical detection rate."""
-    _require_same_grid(config, empirical)
-    return RocCurve(
-        eta=config.thresholds,
-        pfa=exact_h0_rates(config),
-        pd=empirical.pd,
-        source=RocSource.EXACT_H0_HYBRID,
-        trials_used=empirical.trials_used,
-    )
 
 
 @dataclass(frozen=True)

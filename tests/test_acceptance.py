@@ -19,7 +19,7 @@ from bitsense.detector import decide, statistic
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams
 from bitsense.montecarlo import (
     RunConfig,
-    estimate_rates,
+    estimate_sweep,
     exact_h0_rates,
     simulate_statistics,
 )
@@ -102,7 +102,7 @@ def test_a3_single_sensor_correlation_ordering():
     trials = None
     for _label, config in labeled:
         trials = config.trials
-        curve = estimate_rates(config)
+        curve = estimate_sweep([config])[0]
         results[config.params.r] = _pd_at_nearest_pfa(curve)
 
     gaps_ok = True
@@ -141,7 +141,7 @@ def test_a4_sensor_count_ordering():
     trials = None
     for _label, config in labeled:
         trials = config.trials
-        curve = estimate_rates(config)
+        curve = estimate_sweep([config])[0]
         results[config.params.num_sensors] = _pd_at_nearest_pfa(curve)
 
     gaps_ok = True
@@ -199,7 +199,7 @@ def test_a6_reverse_direction_detector():
     params = ModelParams(n=20, num_sensors=1, sigma_s2=1.0, r=-0.3, sigma2=1e-4)
     config = RunConfig(params=params, master_seed=9, trials=20000)
     assert config.direction is DetectorDirection.LESS_IS_H1
-    curve = estimate_rates(config)
+    curve = estimate_sweep([config])[0]
     j = curve.index_nearest_pfa(0.1)
     pd, pfa = float(curve.pd[j]), float(curve.pfa[j])
     need = 3.0 * combined_stderr(pd, pfa, config.trials)

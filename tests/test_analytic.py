@@ -26,7 +26,7 @@ from bitsense.analytic import (
     orthant_prob_closed,
     q_function,
 )
-from bitsense.curves import RocCurve, RocSource
+from bitsense.curves import RocCurve
 from bitsense.detector import decide, firing_mass, sweep_thresholds
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams, NonPositiveDefiniteError
 from bitsense.montecarlo import (
@@ -626,7 +626,7 @@ def test_theory_refuses_a_grid_that_breaks_the_one_threshold_rule(thresholds, ru
 def curve_at(eta) -> RocCurve:
     eta = np.asarray(eta, dtype=float)
     zeros = np.zeros_like(eta)
-    return RocCurve(eta=eta, pfa=zeros, pd=zeros, source=RocSource.EMPIRICAL)
+    return RocCurve(eta=eta, pfa=zeros, pd=zeros)
 
 
 @pytest.mark.parametrize(
@@ -653,11 +653,11 @@ def curve_at(eta) -> RocCurve:
         ),
         (lambda: agreement_prob(make_params(r=0.9)), "source covariance not positive definite"),
         (
-            lambda: RocCurve(eta=[0.5, 1.5], pfa=[1.0], pd=[1.0, 0.0], source=RocSource.EMPIRICAL),
+            lambda: RocCurve(eta=[0.5, 1.5], pfa=[1.0], pd=[1.0, 0.0]),
             "eta, pfa, pd must have equal length",
         ),
         (
-            lambda: RocCurve(eta=[0.5, 1.5], pfa=0.5, pd=[1.0, 0.0], source=RocSource.EMPIRICAL),
+            lambda: RocCurve(eta=[0.5, 1.5], pfa=0.5, pd=[1.0, 0.0]),
             "eta, pfa, pd must have equal length",
         ),
         (

@@ -547,13 +547,28 @@ class TestValidateChecks:
         assert json.loads(report_path.read_text())["all_passed"] is True
 
     @pytest.mark.parametrize(
-        "extra", [["--trials", "0"], ["--seed", "-1"], ["--out", "."]]
+        "extra",
+        [
+            ["--trials", "0"],
+            ["--seed", "-1"],
+            ["--out", "."],
+            # a refused run makes no directory for its report
+            pytest.param(["--out", "sub/report.json", "--trials", "0"], id="sub-trials-0"),
+            pytest.param(["--out", "sub/report.json", "--seed", "-1"], id="sub-seed--1"),
+            pytest.param(
+                ["--out", "sub/report.json", "--trials", "300000000000000000"], id="sub-trials-3e17"
+            ),
+        ],
     )
     def test_bad_input_fails_before_any_check(self, tmp_path, monkeypatch, capsys, extra):
         monkeypatch.chdir(tmp_path)
         assert main(["validate", "--quick", "--out", "report.json", *extra]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        # the refusal names the value as typed, and a trial count by its option
+        assert extra[-1] in captured.err
+        if extra[-2] == "--trials":
+            assert "--trials" in captured.err
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert list(tmp_path.iterdir()) == []
 
@@ -704,17 +719,17 @@ def test_cli_presets_resolve_through_expand_preset(tmp_path, monkeypatch):
     ] * 3
 
 
-#: The public names `bitsense` exports (submodules aside) since 0.4.0, as
+#: The public names `bitsense` exports (submodules aside) since 0.5.0, as
 #: the README's "Public surface" lists them.
 PUBLIC_NAMES = [
     "AgreementProb", "BidiagonalFactor", "DetectorDirection", "DimensionMismatchError",
     "Hypothesis", "ModelParams", "NonPositiveDefiniteError", "RNG_SCHEME", "RocCurve",
-    "RocSource", "RunConfig", "RunManifest", "TheoryMode", "TheoryMoments",
-    "ValidationReport", "agreement_prob", "decide", "estimate_rates", "estimate_sweep",
-    "exact_h0_rates", "exact_h0_tail", "exact_hybrid_curve", "factor_covariance",
-    "gaussian_rates", "moments", "observe", "orthant_prob_closed", "q_function", "quantize",
-    "reconstruct_covariance", "require_valid", "sample_signal", "seed_for_trial",
-    "simulate_statistics", "simulate_sweep", "statistic", "sweep_thresholds", "validate",
+    "RunConfig", "RunManifest", "TheoryMode", "TheoryMoments", "ValidationReport",
+    "agreement_prob", "decide", "estimate_sweep", "exact_h0_rates", "exact_h0_tail",
+    "factor_covariance", "gaussian_rates", "moments", "observe", "orthant_prob_closed",
+    "q_function", "quantize", "reconstruct_covariance", "require_valid", "sample_signal",
+    "seed_for_trial", "simulate_statistics", "simulate_sweep", "statistic",
+    "sweep_thresholds", "validate",
 ]
 
 

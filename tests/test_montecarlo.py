@@ -22,16 +22,14 @@ from bitsense.analytic import (
     moments,
 )
 from bitsense.cli import CURVE_HEADER, _curve_blocks, _json_rows, main, parse_config_file
-from bitsense.curves import RocCurve, RocSource
+from bitsense.curves import RocCurve
 from bitsense.detector import firing_mass, sweep_thresholds, upper_counts
 from bitsense.model import DetectorDirection, Hypothesis, ModelParams
 from bitsense.montecarlo import (
     RunConfig,
     config_to_dict,
-    estimate_rates,
     estimate_sweep,
     exact_h0_rates,
-    exact_hybrid_curve,
     seed_for_trial,
     simulate_statistics,
     simulate_sweep,
@@ -95,7 +93,7 @@ class TestRunConfig:
         config = make_config(**kwargs)
         assert config.violations() == [problem]
         with pytest.raises(ValueError, match=problem):
-            estimate_rates(config)
+            estimate_sweep([config])[0]
 
     @pytest.mark.parametrize("thresholds, shape", [([[0.5, 1.5, 2.5]], (1, 3)), (0.5, ())])
     def test_thresholds_must_be_one_dimensional(self, thresholds, shape):
@@ -103,13 +101,13 @@ class TestRunConfig:
         config = make_config(trials=10, thresholds=thresholds)
         assert config.violations() == [problem]
         with pytest.raises(ValueError, match=re.escape(problem)):
-            estimate_rates(config)
+            estimate_sweep([config])[0]
 
     def test_invalid_params_propagate(self):
         config = make_config(r=0.9)
         assert any("positive definite" in p for p in config.violations())
         with pytest.raises(ValueError):
-            estimate_rates(config)
+            estimate_sweep([config])[0]
 
     def test_direction(self):
         assert make_config(r=0.5).direction is DetectorDirection.GREATER_IS_H1
@@ -138,15 +136,14 @@ class TestValues:
             config.thresholds[0] = 9.0
 
     def test_equal_curves_compare_equal(self):
-        curve = estimate_rates(make_config(trials=10), workers=1)
-        again = estimate_rates(make_config(trials=10), workers=1)
+        curve = estimate_sweep([make_config(trials=10)], workers=1)[0]
+        again = estimate_sweep([make_config(trials=10)], workers=1)[0]
         assert curve == again and curve in [again]
         assert curve != replace(curve, pd=1.0 - curve.pd)
-        assert curve != replace(curve, source=RocSource.EXACT_H0_HYBRID)
 
     def test_a_curve_keeps_its_own_copy_of_its_rates(self):
         pfa = np.array([0.5, 0.25])
-        curve = RocCurve(eta=[0.5, 1.5], pfa=pfa, pd=[0.75, 0.5], source=RocSource.EMPIRICAL)
+        curve = RocCurve(eta=[0.5, 1.5], pfa=pfa, pd=[0.75, 0.5])
         pfa[0] = 0.0
         assert curve.pfa.tolist() == [0.5, 0.25]
         with pytest.raises(ValueError, match="read-only"):
@@ -230,8 +227,8 @@ class TestChunkedEngine:
 class TestDeterminism:
     def test_identical_config_identical_curve(self):
         config = make_config(trials=2000)
-        a = estimate_rates(config)
-        b = estimate_rates(config)
+        a = estimate_sweep([config])[0]
+        b = estimate_sweep([config])[0]
         assert np.array_equal(a.pfa, b.pfa)
         assert np.array_equal(a.pd, b.pd)
 
@@ -245,20 +242,19 @@ class TestDeterminism:
 class TestEstimateRates:
     def test_curve_shape_and_endpoints(self):
         config = make_config(trials=2000)
-        curve = estimate_rates(config)
-        assert curve.source is RocSource.EMPIRICAL
+        curve = estimate_sweep([config])[0]
         assert curve.trials_used == 2000
         assert (curve.pfa[0], curve.pd[0]) == (1.0, 1.0)  # eta below min count
         assert (curve.pfa[-1], curve.pd[-1]) == (0.0, 0.0)  # eta above max count
 
     def test_monotone_in_threshold(self):
-        curve = estimate_rates(make_config(trials=2000))
+        curve = estimate_sweep([make_config(trials=2000)])[0]
         assert np.all(np.diff(curve.pfa) <= 0)
         assert np.all(np.diff(curve.pd) <= 0)
 
     def test_pfa_matches_exact_binomial_at_spot_threshold(self):
         config = make_config()  # seed 42, 20000 trials
-        curve = estimate_rates(config)
+        curve = estimate_sweep([config])[0]
         j = int(np.where(config.thresholds == 13.5)[0][0])  # fires at count >= 14
         q = 16664 / 524288
         band = 3.0 * math.sqrt(q * (1 - q) / config.trials)
@@ -266,14 +262,14 @@ class TestEstimateRates:
 
     def test_zero_correlation_roc_sits_on_the_diagonal(self):
         config = make_config(r=0.0, master_seed=3)
-        curve = estimate_rates(config)
+        curve = estimate_sweep([config])[0]
         bands = 3.0 * np.sqrt(curve.pfa * (1.0 - curve.pfa) / config.trials)
         assert np.all(np.abs(curve.pd - curve.pfa) <= bands + 1e-15)
 
     def test_negative_r_curve_grows_with_threshold(self):
         # downward test: firing set is {count <= eta}
         config = make_config(r=-0.3, trials=2000, master_seed=9)
-        curve = estimate_rates(config)
+        curve = estimate_sweep([config])[0]
         assert (curve.pfa[0], curve.pd[0]) == (0.0, 0.0)
         assert (curve.pfa[-1], curve.pd[-1]) == (1.0, 1.0)
         assert np.all(np.diff(curve.pfa) >= 0)
@@ -328,14 +324,6 @@ class TestExactRates:
         assert np.all(np.diff(tail) <= 0)
         assert tail[3000] > 0.5 > tail[3001]
 
-    def test_hybrid_curve_combines_exact_pfa_with_empirical_pd(self):
-        config = make_config(trials=2000)
-        empirical = estimate_rates(config)
-        hybrid = exact_hybrid_curve(config, empirical)
-        assert hybrid.source is RocSource.EXACT_H0_HYBRID
-        assert np.array_equal(hybrid.pfa, exact_h0_rates(config))
-        assert np.array_equal(hybrid.pd, empirical.pd)
-
 
 class TestCompareTheory:
     """The empirical, theory and exact columns `roc` joins, each read
@@ -343,7 +331,7 @@ class TestCompareTheory:
 
     def test_empirical_h0_column_tracks_exact_oracle(self):
         config = make_config()  # seed 42, 20000 trials
-        pairs = zip(estimate_rates(config).pfa.tolist(), exact_h0_rates(config).tolist())
+        pairs = zip(estimate_sweep([config])[0].pfa.tolist(), exact_h0_rates(config).tolist())
         for emp, exact in pairs:
             band = 3.0 * math.sqrt(exact * (1 - exact) / config.trials)
             assert abs(emp - exact) <= band + 1e-15
@@ -365,7 +353,7 @@ class TestCompareTheory:
         config = make_config(trials=200)
         _, pd, flag = gaussian_rates(config.params, TheoryMode.CONSISTENT, config.thresholds)
         assert flag == H1_VARIANCE_OK == "ok"
-        pairs = zip(estimate_rates(config).pd.tolist(), pd)
+        pairs = zip(estimate_sweep([config])[0].pd.tolist(), pd)
         assert all(math.isfinite(abs(emp - theory)) for emp, theory in pairs)
         assert agreement_prob(config.params).p == pytest.approx(0.6666482912, abs=1e-6)
 
@@ -380,16 +368,9 @@ class TestCompareTheory:
         assert paper.mean == 19.0
         assert consistent.mean == 9.5
 
-    def test_a_curve_from_another_grid_is_refused(self):
-        config, other = make_config(num_sensors=3, trials=50), make_config(trials=50)
-        empirical = estimate_rates(other)
-        grids = r"curve's 21 thresholds \[.*\] are not the config's 59 thresholds \["
-        with pytest.raises(ValueError, match=grids):
-            exact_hybrid_curve(config, empirical)
-
     def test_reuses_precomputed_empirical_curve(self):
         config = make_config(trials=500)
-        empirical = estimate_rates(config)
+        empirical = estimate_sweep([config])[0]
         for block in _curve_blocks(config, empirical):
             assert block["pfa_emp"] == empirical.pfa.tolist()
             assert block["pd_emp"] == empirical.pd.tolist()
@@ -431,7 +412,7 @@ def test_theory_roc_compare_theory_and_theory_table_agree(tmp_path, text, flags)
     _, config = parse_config_file(cfg)
     assert main(["theory", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) == 0
     table = json.loads((tmp_path / "cross_theory.json").read_text())["rows"]
-    empirical = estimate_rates(config)
+    empirical = estimate_sweep([config])[0]
     library_flag = {"ok": "ok", "NEGATIVE": "negative-variance", "ZERO": "zero-variance"}
     joined = _json_rows(_curve_blocks(config, empirical))
     for mode in TheoryMode:
@@ -453,7 +434,7 @@ class TestThresholdRules:
         config = make_config(trials=50, thresholds=thresholds)
         assert "thresholds must be finite" in config.violations()
         with pytest.raises(ValueError, match="thresholds must be finite"):
-            estimate_rates(config)
+            estimate_sweep([config])[0]
 
     @pytest.mark.parametrize("num_sensors", [1, 3])
     def test_exact_h0_tail_matches_exact_h0_rates(self, num_sensors):
@@ -550,10 +531,9 @@ class TestSweepEngine:
             swept = simulate_sweep(configs, hypothesis, workers=workers)
             assert [y.tolist() for y in swept] == alone
 
-    def test_estimate_sweep_equals_estimate_rates(self):
+    def test_a_sweep_equals_each_config_run_alone(self):
         for swept, config in zip(estimate_sweep(MIXED_SWEEP), MIXED_SWEEP):
-            alone = estimate_rates(config)
-            assert swept.source is alone.source is RocSource.EMPIRICAL
+            alone = estimate_sweep([config])[0]
             assert swept.trials_used == alone.trials_used == config.trials
             assert swept.eta.tolist() == alone.eta.tolist()
             assert swept.pfa.tolist() == alone.pfa.tolist()
@@ -939,7 +919,7 @@ def test_compare_theory_rows_are_the_roc_rows_of_their_mode(tmp_path, text):
     cfg = tmp_path / "join.cfg"
     cfg.write_text(text + "trials = 40\n")
     _, config = parse_config_file(cfg)
-    empirical = estimate_rates(config)
+    empirical = estimate_sweep([config])[0]
     rows = _json_rows(_curve_blocks(config, empirical))
     exact = exact_h0_rates(config).tolist()
     assert all(list(row) == CURVE_HEADER.split(",") for row in rows)
@@ -968,7 +948,7 @@ def test_an_explicit_worker_count_below_one_runs_serially(workers):
     config = make_config(trials=200)
     serial = simulate_statistics(config, Hypothesis.H1, workers=1)
     assert np.array_equal(simulate_statistics(config, Hypothesis.H1, workers=workers), serial)
-    curve, serial_curve = estimate_rates(config, workers), estimate_rates(config, 1)
+    curve, serial_curve = estimate_sweep([config], workers)[0], estimate_sweep([config], 1)[0]
     assert np.array_equal(curve.pfa, serial_curve.pfa)
     assert np.array_equal(curve.pd, serial_curve.pd)
 
@@ -978,7 +958,7 @@ def test_a_worker_count_that_is_not_an_int_is_refused(cpus, workers):
     cpus(4)  # with 2 CPUs the cap turned 2.5 into 2 and ran
     message = re.escape(f"workers must be None or an integer, got {workers!r}")
     with pytest.raises(ValueError, match=message):
-        estimate_rates(make_config(trials=20), workers=workers)
+        estimate_sweep([make_config(trials=20)], workers=workers)[0]
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
